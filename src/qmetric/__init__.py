@@ -8,8 +8,7 @@ Hamiltonian, its classical limit, and the exact parity-twisted metric
 of the free-particle limit.  All symbolic arithmetic is exact over the
 Gaussian rationals.
 
-Coefficient arithmetic runs on a compiled extension when available; set
-QMETRIC_BACKEND=python or =compiled to force a choice (see `backend`).
+Coefficient arithmetic runs on one pure-Python core (see `backend`).
 """
 
 from .algebra import (OperatorExpr, anticommutator, commutator,

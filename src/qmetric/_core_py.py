@@ -1,10 +1,10 @@
 """Pure-Python arithmetic core.
 
 Everything above this layer (GaussianRational, ParamPoly, OperatorExpr)
-delegates its inner loops here so that the compiled twin (_core.pyx) can
-be swapped in without touching the algebra code.  See qmetric.backend.
+delegates its inner loops here, through the names re-exported by
+qmetric.backend.
 
-Data shapes, shared with the compiled twin:
+Data shapes:
 
 * scalar  -- 4-tuple of ints ``(an, ad, bn, bd)`` meaning an/ad + (bn/bd)*i,
   both fractions reduced, denominators positive.  Zero is (0, 1, 0, 1).
@@ -21,8 +21,6 @@ P x = -x P,  P p = -p P,  P^2 = 1.
 """
 
 from math import gcd
-
-BACKEND_NAME = "python"
 
 Q_ZERO = (0, 1, 0, 1)
 Q_ONE = (1, 1, 0, 1)
@@ -202,3 +200,57 @@ def expr_mul(t1, t2):
                     else:
                         del out[key]
     return out
+
+
+def expr_commutator(t1, t2):
+    """Normal-ordered commutator t1*t2 - t2*t1.
+
+    Scalars commute, so each monomial pair needs one poly product; the two
+    normal-ordering sums share every output key and merge into one
+    integer weight per k (the k = 0 weights cancel unless the parity
+    signs differ).
+    """
+    out = {}
+    for (a1, b1, e1), p1 in t1.items():
+        for (a2, b2, e2), p2 in t2.items():
+            # c12 = C(a2,k) ff(b1,k) from m1*m2, c21 = C(a1,k) ff(b2,k)
+            # from m2*m1, each carrying its parity sign.
+            c12 = -1 if (e1 and ((a2 + b2) & 1)) else 1
+            c21 = -1 if (e2 and ((a1 + b1) & 1)) else 1
+            pc = None
+            e = e1 ^ e2
+            for k in range(max(a1, a2) + 1):
+                if k:
+                    c12 = c12 * (a2 - k + 1) * (b1 - k + 1) // k
+                    c21 = c21 * (a1 - k + 1) * (b2 - k + 1) // k
+                    if c12 == 0 and c21 == 0:
+                        break
+                n = c12 - c21
+                if n == 0:
+                    continue
+                if pc is None:
+                    pc = poly_mul(p1, p2)
+                    if not pc:
+                        break
+                # n * (-i)^k: real for even k, imaginary for odd k.
+                if k & 2:
+                    n = -n
+                key = (a1 + a2 - k, b1 + b2 - k, e)
+                poly = out.get(key)
+                if poly is None:
+                    poly = out[key] = {}
+                for ev, c in pc.items():
+                    if k & 1:
+                        c = (n * c[2], c[3], -n * c[0], c[1])
+                    else:
+                        c = (n * c[0], c[1], n * c[2], c[3])
+                    old = poly.get(ev)
+                    if old is None:
+                        poly[ev] = q_make(*c)
+                    else:
+                        c = q_add(old, c)
+                        if c[0] == 0 and c[2] == 0:
+                            del poly[ev]
+                        else:
+                            poly[ev] = c
+    return {k: p for k, p in out.items() if p}

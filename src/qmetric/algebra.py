@@ -292,7 +292,7 @@ def commutator(a: OperatorExpr, b: OperatorExpr, k: int = 1) -> OperatorExpr:
         raise ValueError("commutator nesting must be >= 0")
     out = a
     for _ in range(k):
-        out = out * b - b * out
+        out = OperatorExpr.from_raw(_b.expr_commutator(out._t, b._t))
     return out
 
 
@@ -345,25 +345,6 @@ def from_symmetric_form(items) -> OperatorExpr:
                 ac = ac * OperatorExpr.parity_op()
             total = total + ac.scale(s)
     return total
-
-
-def symmetric_form_str(items) -> str:
-    """Display form, e.g. '(1/4)*{x^4,p^-1} + (l1+3)*p^-5 + (i*k1)*p^-5*P'."""
-    if not items:
-        return "0"
-    parts = []
-    for g, b, parity, s in items:
-        coeff = f"({format_poly(s, compact=True)})"
-        if g == 0:
-            base = _mono_str(0, b, 0) if b else "1"
-        else:
-            xs = "x" if g == 1 else f"x^{g}"
-            ps = _mono_str(0, b, 0) if b else "1"
-            base = f"{{{xs},{ps}}}"
-        if parity:
-            base += "*P"
-        parts.append(f"{coeff}*{base}")
-    return " + ".join(parts)
 
 
 def scaling_degree(expr: OperatorExpr):

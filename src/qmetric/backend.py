@@ -1,48 +1,15 @@
-"""Arithmetic backend selection.
+"""The arithmetic core's entry points, as the layers above import them.
 
-Imports the compiled core when available, the pure-Python twin otherwise.
-Override with QMETRIC_BACKEND=python|compiled (``compiled`` raises if the
-extension is missing, so CI can pin it).
+qmetric has one core, the pure-Python ``_core_py``; this module names
+what the algebra code uses from it.
 """
 
-import os
-
-_choice = os.environ.get("QMETRIC_BACKEND", "").strip().lower()
-if _choice not in ("", "python", "compiled"):
-    raise ImportError(f"QMETRIC_BACKEND must be 'python' or 'compiled', got {_choice!r}")
-
-_impl = None
-if _choice != "python":
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = None
-if _impl is None:
-    if _choice == "compiled":
-        raise ImportError("QMETRIC_BACKEND=compiled but qmetric._core is not built")
-    from . import _core_py as _impl
-
-BACKEND_NAME = _impl.BACKEND_NAME
+from ._core_py import (Q_ONE, Q_ZERO, ev_mul, expr_add, expr_commutator,
+                       expr_mul, expr_scale, poly_add, poly_conj, poly_mul,
+                       poly_neg, poly_scale, q_add, q_conj, q_is_zero, q_make,
+                       q_mul, q_neg)
 
 
 def backend_name() -> str:
-    """Which arithmetic core is active: 'python' or 'compiled'."""
-    return BACKEND_NAME
-
-Q_ZERO = _impl.Q_ZERO
-Q_ONE = _impl.Q_ONE
-q_make = _impl.q_make
-q_add = _impl.q_add
-q_neg = _impl.q_neg
-q_conj = _impl.q_conj
-q_mul = _impl.q_mul
-q_is_zero = _impl.q_is_zero
-ev_mul = _impl.ev_mul
-poly_add = _impl.poly_add
-poly_neg = _impl.poly_neg
-poly_conj = _impl.poly_conj
-poly_scale = _impl.poly_scale
-poly_mul = _impl.poly_mul
-expr_add = _impl.expr_add
-expr_scale = _impl.expr_scale
-expr_mul = _impl.expr_mul
+    """Which arithmetic core is active; there is one, 'python'."""
+    return "python"

@@ -105,7 +105,7 @@ def _cmd_derive(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    report = run_verification(workers=ns.jobs)
+    report = run_verification()
     _emit(ns, report.render())
     return 1 if report.failed else 0
 
@@ -274,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, _cmd_derive)
 
     sp = sub.add_parser("verify-tables", help="run the cross-check battery")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker threads (default: one per check group)")
     _add_common(sp, _cmd_verify, fmt=False)
 
     sp = sub.add_parser("observables", help="dressed X, P and Hermitian form")
@@ -327,8 +325,21 @@ _DEFAULTS = {
     "verify-tables": {},
 }
 
-_TYPED = {"order": int, "periods": int, "steps": int, "jobs": int,
+_TYPED = {"order": int, "periods": int, "steps": int,
           "epsilon": float, "init_x": float, "init_p": float, "dt": float}
+
+
+def _typed_config_value(key: str, kind, value):
+    """Convert a config value for a numeric option, refusing lossy coercions."""
+    # json gives bools as ints and non-integral numbers as floats; int()
+    # would silently turn true into 1 and 2.7 into 2.
+    inexact = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or inexact:
+        raise ConfigError(f"--config: bad value for {key!r}: {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--config: bad value for {key!r}: {value!r}") from exc
 
 
 def _apply_config(ns) -> None:
@@ -348,11 +359,7 @@ def _apply_config(ns) -> None:
                                   f" {ns.command!r}")
             if getattr(ns, attr) is None:
                 if attr in _TYPED:
-                    try:
-                        value = _TYPED[attr](value)
-                    except (TypeError, ValueError) as exc:
-                        raise ConfigError(f"--config: bad value for {key!r}:"
-                                          f" {value!r}") from exc
+                    value = _typed_config_value(key, _TYPED[attr], value)
                 elif not isinstance(value, str):
                     value = json.dumps(value) if not isinstance(value, (int, float)) else str(value)
                 setattr(ns, attr, value)

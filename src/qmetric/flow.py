@@ -182,13 +182,24 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
     None and the rows simply record the integrated stretch.
     """
     _require_sextic(hc)
+    for name, value in (("epsilon", epsilon), ("dt", dt), ("x0", x0), ("p0", p0)):
+        if value is not None and not math.isfinite(value):
+            raise EngineError(f"{name} must be finite, got {value!r}")
     if epsilon < 0.0:
         raise EngineError("epsilon must be non-negative")
     if dt <= 0.0:
         raise EngineError("dt must be positive")
     if periods < 1:
         raise EngineError("periods must be at least 1")
+    try:
+        return _integrate(hc, epsilon, x0, p0, dt, periods, theta, max_steps)
+    except OverflowError as exc:
+        raise EngineError("orbit left the floating-point range") from exc
 
+
+def _integrate(hc: ClassicalHamiltonian, epsilon: float, x0: float,
+               p0: float | None, dt: float, periods: int, theta: float,
+               max_steps: int) -> OrbitResult:
     m = float(hc.mass)
     if p0 is None:
         p0 = math.sqrt(2.0 * m)

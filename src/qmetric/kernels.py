@@ -354,8 +354,3 @@ def kernel_hermitian_residual(kernel: Kernel) -> Kernel:
 
 def is_hermitian_kernel(kernel: Kernel) -> bool:
     return kernel_hermitian_residual(kernel).is_zero()
-
-
-def compare_kernels(a: Kernel, b: Kernel) -> Kernel:
-    """Difference a - b (zero kernel means exact agreement)."""
-    return a - b

@@ -131,10 +131,6 @@ class PFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_laurent(cls, coeffs) -> "PFunction":
-        return cls(LaurentPoly(coeffs))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

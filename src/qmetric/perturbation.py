@@ -5,8 +5,8 @@ Q_j Hermitian.  Order j is obtained in three steps:
 
 1. ``build_r``: assemble the right-hand side R_j of [H0, Q_j] = R_j from
    the already-solved lower orders, via the universal rational weights
-   ``q_coefficient(k)`` and nested commutators over all ordered
-   compositions of j.
+   ``q_coefficient(k)`` and the order-j coefficients of the k-fold
+   nested series commutators of H0 with the lower-order series.
 2. ``solve_commutator_equation``: produce one particular Hermitian
    solution by descending-x-degree elimination.
 3. ``canonical_q``: move every x-free piece of the particular solution
@@ -31,7 +31,7 @@ from .algebra import OperatorExpr, commutator, h0, h1, scaling_degree
 from .errors import EngineError
 from .params import ParamPoly
 from .rational import GaussianRational
-from .series import SeriesExpr
+from .series import SeriesExpr, series_commutator
 
 DEFAULT_WEIGHT = 5
 
@@ -54,19 +54,6 @@ def q_coefficient(k: int) -> Fraction:
         for n in range(1, m + 1):
             total += Fraction((-1) ** n * n**k * math.comb(m, n), kfact * 2 ** (m - 1))
     return total
-
-
-def compositions(j: int, k: int) -> list[tuple[int, ...]]:
-    """All ordered k-tuples of positive integers summing to j, lexicographic."""
-    if not (1 <= k <= j):
-        raise ValueError("need 1 <= k <= j")
-    if k == 1:
-        return [(j,)]
-    out: list[tuple[int, ...]] = []
-    for first in range(1, j - k + 2):
-        for rest in compositions(j - first, k - 1):
-            out.append((first,) + rest)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +123,9 @@ def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None 
 
     R_1 = -2 H_1; for j >= 2 the lower orders mix through
     R_j = sum_{k=2..j} q_k * sum_{s_1+...+s_k=j} [[..[H0, Q_{s_1}].., Q_{s_k}]].
+    The inner sum is the eps^j coefficient of T_k = [T_{k-1}, Q_<j] with
+    T_0 = H0 and Q_<j = sum_{s<j} Q_s eps^s, so each k costs one series
+    commutator.
     """
     if h1_op is None:
         h1_op = h1()
@@ -147,18 +137,13 @@ def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None 
         r = h1_op.scale(-2)
     else:
         r = OperatorExpr.zero()
-        h0_op = h0()
-        for k in range(2, j + 1):
+        lower = SeriesExpr(j, {s: prior_q[s - 1] for s in range(1, j)})
+        term = SeriesExpr.of(h0(), order=j)
+        for k in range(1, j + 1):
+            term = series_commutator(term, lower)
             qk = q_coefficient(k)
-            if qk == 0:
-                continue
-            z = OperatorExpr.zero()
-            for comp in compositions(j, k):
-                term = commutator(h0_op, prior_q[comp[0] - 1])
-                for s in comp[1:]:
-                    term = commutator(term, prior_q[s - 1])
-                z = z + term
-            r = r + z.scale(qk)
+            if k >= 2 and qk != 0:
+                r = r + term.coeff(j).scale(qk)
     if not r.is_antihermitian():
         raise EngineError(f"order {j}: R_j is not anti-Hermitian (corrupted lower orders?)")
     deg = scaling_degree(r)
@@ -258,17 +243,24 @@ def homogeneous_q(j: int, lam: ParamPoly, kap: ParamPoly, weight: int = DEFAULT_
     return out + OperatorExpr.monomial(kap * ParamPoly(i_pow), 0, -weight * j, True)
 
 
-def canonical_q(j: int, particular: OperatorExpr, params: MetricParams,
-                weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
-    """Canonical order-j generator: stripped particular plus homogeneous part."""
+def _canonical_parts(j: int, particular: OperatorExpr, params: MetricParams,
+                     weight: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
+    """(stripped particular, homogeneous part, their sum Q_j), Q_j checked."""
     stripped, _, _ = strip_x_free(particular, j, weight)
-    q = stripped + homogeneous_q(j, params.lam_at(j), params.kap_at(j), weight)
+    hom = homogeneous_q(j, params.lam_at(j), params.kap_at(j), weight)
+    q = stripped + hom
     if not q.is_hermitian():
         raise EngineError(f"order {j}: canonical Q_j is not Hermitian")
     deg = scaling_degree(q)
     if not (q.is_zero() or deg == -weight * j):
         raise EngineError(f"order {j}: Q_j has scaling degree {deg}, expected {-weight * j}")
-    return q
+    return stripped, hom, q
+
+
+def canonical_q(j: int, particular: OperatorExpr, params: MetricParams,
+                weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
+    """Canonical order-j generator: stripped particular plus homogeneous part."""
+    return _canonical_parts(j, particular, params, weight)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +315,7 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
         try:
             r = build_r(j, prior, h1_op, weight)
             particular = solve_commutator_equation(r)
-            stripped, _, _ = strip_x_free(particular, j, weight)
-            hom = homogeneous_q(j, params.lam_at(j), params.kap_at(j), weight)
-            q = stripped + hom
-            if not q.is_hermitian():
-                raise EngineError(f"order {j}: canonical Q_j is not Hermitian")
-            deg = scaling_degree(q)
-            if not (q.is_zero() or deg == -weight * j):
-                raise EngineError(
-                    f"order {j}: Q_j has scaling degree {deg}, expected {-weight * j}")
+            stripped, hom, q = _canonical_parts(j, particular, params, weight)
         except EngineError:
             raise
         except Exception as exc:  # pragma: no cover - defensive context wrapper

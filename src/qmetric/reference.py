@@ -24,10 +24,6 @@ from .rational import GaussianRational as G
 I = G(0, 1)
 
 
-def _sym(name: str) -> ParamPoly:
-    return ParamPoly.symbol(name)
-
-
 # -- series coefficients of log(eta) order by order -------------------------
 
 Q_COEFFICIENTS = {1: F(-1), 2: F(0), 3: F(1, 12), 4: F(0), 5: F(-1, 120)}

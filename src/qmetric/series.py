@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import OperatorExpr
+from .algebra import OperatorExpr, commutator
 
 
 class SeriesExpr:
@@ -110,7 +110,17 @@ class SeriesExpr:
 
 
 def series_commutator(a: SeriesExpr, b: SeriesExpr) -> SeriesExpr:
-    return a * b - b * a
+    """[a, b], truncated to the smaller order; one kernel call per pair."""
+    n = min(a._order, b._order)
+    out: dict[int, OperatorExpr] = {}
+    for j1, e1 in a._c.items():
+        for j2, e2 in b._c.items():
+            j = j1 + j2
+            if j > n:
+                continue
+            c = commutator(e1, e2)
+            out[j] = out[j] + c if j in out else c
+    return SeriesExpr(n, out)
 
 
 def nested_series_commutator(a: SeriesExpr, b: SeriesExpr, k: int) -> SeriesExpr:

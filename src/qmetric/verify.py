@@ -19,8 +19,6 @@ any machine are byte-identical.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -406,23 +404,10 @@ def _check_free() -> list[CheckResult]:
     ]
 
 
-def run_verification(workers: int | None = None) -> VerificationReport:
-    """Run every check group (concurrently) and assemble in fixed order."""
+def run_verification() -> VerificationReport:
+    """Run every check group in its fixed order and assemble the report."""
     qs = derive_metric_series(MetricParams.formal(3))
-    groups = [
-        _check_coefficients,
-        _check_series_sources,
-        lambda: _check_low_orders(qs),
-        lambda: _check_sectors(qs),
-        lambda: _check_observables(qs),
-        _check_classical,
-        _check_free,
-    ]
-    if workers is None:
-        workers = min(len(groups), os.cpu_count() or 1)
-    checks: list[CheckResult] = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(g) for g in groups]
-        for fut in futures:
-            checks.extend(fut.result())
+    checks = (_check_coefficients() + _check_series_sources()
+              + _check_low_orders(qs) + _check_sectors(qs)
+              + _check_observables(qs) + _check_classical() + _check_free())
     return VerificationReport(tuple(checks))

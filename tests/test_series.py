@@ -43,6 +43,7 @@ def test_arithmetic_truncates_to_shorter_operand():
     assert prod.order == 2
     assert prod.coeff(0) == X * P
     assert prod.coeff(2).is_zero()  # the order-4 term fell off
+    assert series_commutator(a, b) == a * b - b * a
 
 
 def test_multiplication_collects_cross_terms():
@@ -52,6 +53,7 @@ def test_multiplication_collects_cross_terms():
     assert (a * b).coeff(2) == P * X
     assert (b * a).coeff(2) == X * P
     assert series_commutator(b, a).coeff(2) == X * P - P * X
+    assert series_commutator(a, b) == a * b - b * a
 
 
 def test_truncate_and_adjoint():

@@ -5,9 +5,8 @@ from qmetric.verify import CheckResult, VerificationReport, run_verification
 
 
 def battery():
-    # single worker keeps this cheap; determinism across worker counts is
-    # asserted separately in the acceptance tests
-    return run_verification(workers=1)
+    # determinism across runs is asserted separately in the acceptance tests
+    return run_verification()
 
 
 def test_counts_and_status():
