@@ -146,7 +146,13 @@ def poly_mul(p1, p2):
 
 def expr_add(t1, t2):
     out = {k: dict(p) for k, p in t1.items()}
-    for k, p in t2.items():
+    expr_add_into(out, t2)
+    return out
+
+
+def expr_add_into(out, t):
+    """Add expr t into expr out in place."""
+    for k, p in t.items():
         old = out.get(k)
         if old is None:
             out[k] = dict(p)
@@ -156,7 +162,6 @@ def expr_add(t1, t2):
                 out[k] = s
             else:
                 del out[k]
-    return out
 
 
 def expr_scale(t, u):

@@ -203,16 +203,18 @@ class OperatorExpr:
         """Hermitian adjoint; (x^a p^b P^e)+ = P^e p^b x^a, reordered.
 
         Internally monomials keep P rightmost, so commuting P^e back across
-        p^b costs (-1)^(b*e).
+        p^b costs (-1)^(b*e).  Monomials sharing the x-power a are reordered
+        by one product with x^a, summed into one dict.
         """
-        out: dict = {}
+        by_x: dict = {}
         for (a, b, e), p in self._t.items():
             cp = _b.poly_conj(p)
             if e and (b & 1):
                 cp = _b.poly_neg(cp)
-            left = {(0, b, e): cp}
-            right = {(a, 0, 0): {(): _b.Q_ONE}}
-            out = _b.expr_add(out, _b.expr_mul(left, right))
+            by_x.setdefault(a, {})[(0, b, e)] = cp
+        out: dict = {}
+        for a, left in by_x.items():
+            _b.expr_add_into(out, _b.expr_mul(left, {(a, 0, 0): {(): _b.Q_ONE}}))
         return OperatorExpr.from_raw(out)
 
     def is_hermitian(self) -> bool:

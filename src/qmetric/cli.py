@@ -70,9 +70,16 @@ def _metric_params(ns, order: int) -> MetricParams:
     return MetricParams.numeric(order, lam, kap)
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+
+
 def _emit(ns, text: str) -> None:
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
+        with _open_out(ns.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -177,7 +184,8 @@ def _cmd_orbit(ns) -> int:
     orbit = integrate_orbit(hc, ns.epsilon, x0=ns.init_x, p0=p0, dt=ns.dt,
                             periods=ns.periods, max_steps=ns.steps)
     if ns.out:
-        orbit.to_csv(ns.out)
+        with _open_out(ns.out) as fh:
+            orbit.to_csv(fh)
     else:
         orbit.to_csv(sys.stdout)
     summary = sys.stderr if not ns.out else sys.stdout
@@ -342,7 +350,17 @@ def _typed_config_value(key: str, kind, value):
         raise ConfigError(f"--config: bad value for {key!r}: {value!r}") from exc
 
 
-def _apply_config(ns) -> None:
+def _choices(parser: argparse.ArgumentParser, command: str, attr: str):
+    """The `choices` of the option that `command` stores in `attr`, if any."""
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for action in subparsers.choices[command]._actions:
+        if action.dest == attr:
+            return action.choices
+    return None
+
+
+def _apply_config(ns, parser: argparse.ArgumentParser) -> None:
     """Fill unset options from --config, then from built-in defaults."""
     if ns.config:
         try:
@@ -362,6 +380,10 @@ def _apply_config(ns) -> None:
                     value = _typed_config_value(key, _TYPED[attr], value)
                 elif not isinstance(value, str):
                     value = json.dumps(value) if not isinstance(value, (int, float)) else str(value)
+                choices = _choices(parser, ns.command, attr)
+                if choices is not None and value not in choices:
+                    raise ConfigError(f"--config: bad value for {key!r}: {value!r}"
+                                      f" (choose from {', '.join(choices)})")
                 setattr(ns, attr, value)
     for key, value in _DEFAULTS.get(ns.command, {}).items():
         if getattr(ns, key, None) is None:
@@ -372,7 +394,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config(ns)
+        _apply_config(ns, parser)
         if getattr(ns, "order", None) is not None and not 1 <= ns.order <= 6:
             raise ConfigError(f"--order: {ns.order} is outside 1..6")
         return ns.func(ns)

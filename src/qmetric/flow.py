@@ -31,6 +31,17 @@ the conditioning of the level function, not the accuracy of the
 trajectory (the transverse invariant delta(p^2) stays at the 1e-13 level
 through the window while H evaluated at the closest samples can swing by
 orders of magnitude).  The CSV rows still record H as computed.
+
+The Hamiltonian's constants are folded once per orbit:
+`ClassicalHamiltonian.at(epsilon)` multiplies each term's c * eps^j * m^mpow
+(and the exponent, for a derivative) into one float, left to right as
+the term's full product does, and the steppers evaluate k * x**a * p**b
+with it, summing from 0.0 in term order.  So every sample is
+bit-identical to evaluating the unfolded terms at each point, signed
+zeros included; the tests pin the CSV bytes of two runs by SHA-256.
+
+The step budget `max_steps` counts every RK4 step, in a window or out
+(each adds one row), so it bounds the run time for any finite input.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .errors import EngineError
-from .observables import ClassicalHamiltonian
+from .observables import ClassicalHamiltonian, FoldedHamiltonian
 
 __all__ = ["OrbitResult", "integrate_orbit"]
 
@@ -65,7 +76,7 @@ class OrbitResult:
     epsilon: float
     mass: float
     dt: float
-    rows: tuple  # of (t, x, p, H)
+    rows: list  # of (t, x, p, H)
     period: float | None
     closure: float | None
     energy_drift: float
@@ -92,20 +103,21 @@ def _require_sextic(hc: ClassicalHamiltonian) -> None:
             f"Hamiltonian, got terms {sorted(shape)}")
 
 
-def _rk4_t(hc: ClassicalHamiltonian, eps: float, x: float, p: float,
+def _rk4_t(field: FoldedHamiltonian, x: float, p: float,
            dt: float) -> tuple[float, float]:
-    def f(xx: float, pp: float) -> tuple[float, float]:
-        return hc.d_dp(xx, pp, eps), -hc.d_dx(xx, pp, eps)
-
-    k1x, k1p = f(x, p)
-    k2x, k2p = f(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-    k3x, k3p = f(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-    k4x, k4p = f(x + dt * k3x, p + dt * k3p)
+    d_dp, d_dx = field.d_dp, field.d_dx
+    k1x, k1p = d_dp(x, p), -d_dx(x, p)
+    x2, p2 = x + 0.5 * dt * k1x, p + 0.5 * dt * k1p
+    k2x, k2p = d_dp(x2, p2), -d_dx(x2, p2)
+    x3, p3 = x + 0.5 * dt * k2x, p + 0.5 * dt * k2p
+    k3x, k3p = d_dp(x3, p3), -d_dx(x3, p3)
+    x4, p4 = x + dt * k3x, p + dt * k3p
+    k4x, k4p = d_dp(x4, p4), -d_dx(x4, p4)
     return (x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0,
             p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0)
 
 
-def _crossing_time(hc: ClassicalHamiltonian, eps: float, x: float, p: float,
+def _crossing_time(field: FoldedHamiltonian, x: float, p: float,
                    dt: float) -> tuple[float, float, float]:
     """Refine the x=0 crossing inside one step from (x, p), x < 0.
 
@@ -115,7 +127,7 @@ def _crossing_time(hc: ClassicalHamiltonian, eps: float, x: float, p: float,
     lo, hi = 0.0, dt
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        xm, _ = _rk4_t(hc, eps, x, p, mid)
+        xm, _ = _rk4_t(field, x, p, mid)
         if xm < 0.0:
             lo = mid
         else:
@@ -123,21 +135,25 @@ def _crossing_time(hc: ClassicalHamiltonian, eps: float, x: float, p: float,
         if hi - lo <= 1e-18 * dt:
             break
     tau = 0.5 * (lo + hi)
-    xs, ps = _rk4_t(hc, eps, x, p, tau)
+    xs, ps = _rk4_t(field, x, p, tau)
     return tau, xs, ps
 
 
-def _traverse_pinch(hc: ClassicalHamiltonian, eps: float, t: float, x: float,
-                    p: float, dt: float, theta: float,
-                    rows: list) -> tuple[float, float, float]:
-    """Carry (t, x, p) through the pinch window in x-parametrized form."""
-    m = float(hc.mass)
+def _traverse_pinch(field: FoldedHamiltonian, t: float, x: float, p: float,
+                    dt: float, theta: float, rows: list,
+                    budget: int) -> tuple[float, float, float] | None:
+    """Carry (t, x, p) through the pinch window in x-parametrized form.
+
+    Returns the state at the window's exit, or None once `budget` steps
+    are spent inside the window.
+    """
+    m, eps = field.mass, field.epsilon
     c_sextic = float(Fraction(3, 8)) * m * eps * eps
-    energy = hc.evaluate(x, p, eps)
+    energy = field.evaluate(x, p)
     m_energy = m * energy
     threshold = theta * m_energy
 
-    xdot = hc.d_dp(x, p, eps)
+    xdot = field.d_dp(x, p)
     if xdot == 0.0:
         raise EngineError("pinch window entered with zero velocity")
     h = math.copysign(abs(xdot) * dt, xdot)
@@ -150,7 +166,7 @@ def _traverse_pinch(hc: ClassicalHamiltonian, eps: float, t: float, x: float,
 
     w = p ** 3
     max_inner = int(4.0 * abs(x) / abs(h)) + 64
-    for _ in range(max_inner):
+    for _ in range(min(max_inner, budget)):
         k1w, k1t = f(x, w)
         k2w, k2t = f(x + 0.5 * h, w + 0.5 * h * k1w)
         k3w, k3t = f(x + 0.5 * h, w + 0.5 * h * k2w)
@@ -159,10 +175,12 @@ def _traverse_pinch(hc: ClassicalHamiltonian, eps: float, t: float, x: float,
         w += h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
         t += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
         pw = _cbrt(w)
-        h_row = hc.evaluate(x, pw, eps) if pw != 0.0 else math.inf
+        h_row = field.evaluate(x, pw) if pw != 0.0 else math.inf
         rows.append((t, x, pw, h_row))
         if pw * pw >= threshold:
             return t, x, pw
+    if budget < max_inner:
+        return None
     raise EngineError("pinch window failed to exit")
 
 
@@ -177,9 +195,10 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
     window, so the two never mix.  With the default x0 = 0, p0 > 0 the
     initial point lies on the section and `period` is the first return
     time; otherwise one extra crossing is used to open the interval.
-    If the section is never reached within `max_steps` (e.g. epsilon = 0,
-    where the motion is free and unbounded), `period` and `closure` are
-    None and the rows simply record the integrated stretch.
+    `max_steps` bounds every RK4 step taken, inside pinch windows too.
+    If the section is never reached within it (e.g. epsilon = 0, where
+    the motion is free and unbounded), `period` and `closure` are None
+    and the rows simply record the integrated stretch.
     """
     _require_sextic(hc)
     for name, value in (("epsilon", epsilon), ("dt", dt), ("x0", x0), ("p0", p0)):
@@ -191,23 +210,25 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
         raise EngineError("dt must be positive")
     if periods < 1:
         raise EngineError("periods must be at least 1")
+    if max_steps < 1:
+        raise EngineError("max_steps must be at least 1")
     try:
-        return _integrate(hc, epsilon, x0, p0, dt, periods, theta, max_steps)
+        return _integrate(hc.at(epsilon), x0, p0, dt, periods, theta, max_steps)
     except OverflowError as exc:
         raise EngineError("orbit left the floating-point range") from exc
 
 
-def _integrate(hc: ClassicalHamiltonian, epsilon: float, x0: float,
-               p0: float | None, dt: float, periods: int, theta: float,
+def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
+               dt: float, periods: int, theta: float,
                max_steps: int) -> OrbitResult:
-    m = float(hc.mass)
+    m = field.mass
     if p0 is None:
         p0 = math.sqrt(2.0 * m)
     if p0 == 0.0:
         raise EngineError("p0 = 0 sits on the pinch itself")
 
     t, x, p = 0.0, float(x0), float(p0)
-    e0 = hc.evaluate(x, p, epsilon)
+    e0 = field.evaluate(x, p)
     if e0 <= 0.0:
         raise EngineError("initial energy must be positive")
     gate = theta * m * e0
@@ -219,21 +240,27 @@ def _integrate(hc: ClassicalHamiltonian, epsilon: float, x0: float,
     crossings: list = [(t, x, p)] if start_on_section else []
     needed = periods + 1
 
-    for _ in range(max_steps):
+    # Every step, inside a window or out, adds one row, so the rows
+    # count the steps spent against the budget.
+    while len(rows) <= max_steps:
         if p * p < gate and x * p > 0.0:
             t_in = t
-            t, x, p = _traverse_pinch(hc, epsilon, t, x, p, dt, theta, rows)
+            state = _traverse_pinch(field, t, x, p, dt, theta, rows,
+                                    max_steps + 1 - len(rows))
+            if state is None:
+                break
+            t, x, p = state
             windows.append((t_in, t))
             continue
         x_prev, p_prev = x, p
-        x, p = _rk4_t(hc, epsilon, x_prev, p_prev, dt)
+        x, p = _rk4_t(field, x_prev, p_prev, dt)
         t += dt
         if x_prev < 0.0 <= x:
-            tau, xs, ps = _crossing_time(hc, epsilon, x_prev, p_prev, dt)
+            tau, xs, ps = _crossing_time(field, x_prev, p_prev, dt)
             crossings.append((t - dt + tau, xs, ps))
             if len(crossings) >= needed:
                 t, x, p = crossings[-1][0], xs, ps
-        h_now = hc.evaluate(x, p, epsilon)
+        h_now = field.evaluate(x, p)
         rows.append((t, x, p, h_now))
         if p * p >= gate:
             drift = max(drift, abs(h_now / e0 - 1.0))
@@ -247,6 +274,6 @@ def _integrate(hc: ClassicalHamiltonian, epsilon: float, x0: float,
         period = (t_b - t_a) / periods
         closure = math.hypot(x_b - x_a, p_b - p_a)
 
-    return OrbitResult(epsilon=epsilon, mass=m, dt=dt, rows=tuple(rows),
+    return OrbitResult(epsilon=field.epsilon, mass=m, dt=dt, rows=rows,
                        period=period, closure=closure, energy_drift=drift,
                        windows=tuple(windows))

@@ -197,6 +197,23 @@ def test_config_rejects_lossy_numbers(tmp_path, command, key, value):
     assert "Traceback" not in out.stderr
 
 
+def test_config_rejects_values_outside_choices(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    out = run("derive", "--config", str(cfg))
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: ")
+    assert out.stdout == ""
+
+
+def test_unwritable_out_is_exit_two(tmp_path):
+    for args in (("derive", "--order", "1"), ("orbit", "--steps", "10")):
+        out = run(*args, "--out", str(tmp_path / "no-dir" / "x.txt"))
+        assert out.returncode == 2
+        assert out.stderr.startswith("config error: --out: ")
+        assert len(out.stderr.splitlines()) == 1
+
+
 def test_config_accepts_integral_float(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"order": 2.0}))
@@ -214,3 +231,14 @@ def test_orbit_bad_floats_are_engine_errors(flag):
     assert out.returncode == 1
     assert out.stderr.startswith("engine error: ")
     assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_orbit_step_budget_below_one(tmp_path, steps):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": int(steps)}))
+    for args in (("--steps", steps), ("--config", str(cfg))):
+        out = run("orbit", *args)
+        assert out.returncode == 1
+        assert out.stderr.startswith("engine error: ")
+        assert len(out.stderr.splitlines()) == 1

@@ -1,8 +1,10 @@
-"""The fused commutator kernel against the product kernel it replaces."""
+"""The commutator kernel and the grouped adjoint against the product-built
+forms they replace."""
 
 from hypothesis import given, strategies as st
 
 from qmetric import _core_py as core
+from qmetric.algebra import OperatorExpr
 
 ints = st.integers(-999, 999)
 dens = st.integers(1, 99)
@@ -46,3 +48,20 @@ def _minus(t1, t2):
 def test_commutator_matches_two_products(a, b):
     assert core.expr_commutator(a, b) == _minus(core.expr_mul(a, b),
                                                 core.expr_mul(b, a))
+
+
+def _adjoint_by_monomial(t):
+    """The adjoint as one product and one sum per monomial."""
+    out = {}
+    for (a, b, e), p in t.items():
+        cp = core.poly_conj(p)
+        if e and (b & 1):
+            cp = core.poly_neg(cp)
+        out = core.expr_add(out, core.expr_mul({(0, b, e): cp},
+                                               {(a, 0, 0): {(): core.Q_ONE}}))
+    return out
+
+
+@given(op_tables())
+def test_adjoint_matches_per_monomial_products(a):
+    assert OperatorExpr.from_raw(a).adjoint().raw == _adjoint_by_monomial(a)

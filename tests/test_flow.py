@@ -5,12 +5,14 @@ for the stepper; the pinch traversal is covered by requiring a finite
 period, tiny section closure, and exactly one window per period.
 """
 
+import hashlib
 import io
 import math
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qmetric.errors import EngineError
 from qmetric.flow import integrate_orbit
@@ -34,6 +36,9 @@ def test_input_validation(hc):
         integrate_orbit(hc, 0.1, periods=0)
     with pytest.raises(EngineError):
         integrate_orbit(hc, 0.1, p0=0.0)
+    for steps in (0, -5):
+        with pytest.raises(EngineError):
+            integrate_orbit(hc, 0.1, max_steps=steps)
     for bad in ({"epsilon": math.nan}, {"dt": math.nan}, {"x0": math.inf},
                 {"p0": -math.inf}, {"p0": 1e200}):
         with pytest.raises(EngineError):
@@ -121,3 +126,76 @@ def test_csv_output(hc):
     t, x, p, h = (float(v) for v in lines[1].split(","))
     assert (t, x) == (0.0, 0.0)
     assert p == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_step_budget_covers_pinch_windows(hc):
+    # (x, p) = (1, 0.1) starts inside a window; at this dt crossing it
+    # takes about 10^5 steps, so the budget must stop it first.
+    out = integrate_orbit(hc, 0.1, x0=1.0, p0=0.1, dt=1e-6, max_steps=1000)
+    assert len(out.rows) == 1001
+    assert out.period is None and out.windows == ()
+
+
+# SHA-256 of to_csv, recorded before the Hamiltonian's constants were
+# folded once per orbit; the folded integrator must write the same bytes.
+# The pinch window's cube root is math.cbrt where it exists (Python 3.11
+# on) and a pow fallback before it, whose last bits differ: one digest each.
+@pytest.mark.parametrize("mass,kw,digests", [
+    (F(1), {}, ("6b30fd7609f43e3de0325dcde18dcd286b2ff1bc8d6f2e017b36a9897e782b76",
+                "40ac3319d2212eb96bbf52dd79efaf7e65a495f6752705202c16458344340b5a")),
+    (F(3, 2), {"x0": 0.3},
+     ("f7b4992bdaefbd008f0f20114899a7ba5648ba36f738d6379cd9dd5b9ab3961d",
+      "a1e0ea1834d05bff55b609a550168f86c5607947e7087214d7a3834ef1373564")),
+])
+def test_csv_bytes_are_pinned(mass, kw, digests):
+    ham = classical_limit(equivalent_hermitian(
+        derive_metric_series(MetricParams.formal(2))), mass=mass)
+    buf = io.StringIO()
+    integrate_orbit(ham, 0.1, dt=1e-2, periods=2, **kw).to_csv(buf)
+    want = digests[0 if hasattr(math, "cbrt") else 1]
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want
+
+
+def _per_term(hc, x, p, eps, wrt):
+    """H, dH/dx or dH/dp with every term's constant rebuilt in place."""
+    m = float(hc.mass)
+    total = 0.0
+    for j, a, b, c, mpow in hc.terms:
+        if wrt == "h":
+            total += float(c) * eps ** j * m ** mpow * x ** a * p ** b
+        elif wrt == "x" and a:
+            total += float(c) * a * eps ** j * m ** mpow * x ** (a - 1) * p ** b
+        elif wrt == "p" and b:
+            total += float(c) * b * eps ** j * m ** mpow * x ** a * p ** (b - 1)
+    return total
+
+
+def _outcome(f):
+    try:
+        return f()
+    except OverflowError:
+        return OverflowError
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite, finite.filter(bool), st.floats(0.0, 1e300),
+       st.fractions(F(1, 1000), 1000))
+def test_folded_terms_are_bit_identical(hc, x, p, eps, mass):
+    # the order-3 limit's eps^4 term exercises a third mass power
+    full = ClassicalHamiltonian(mass, hc.terms + ((4, 12, -6, F(31, 256), 3),))
+    folded = _outcome(lambda: full.at(eps))
+    for wrt, name in (("h", "evaluate"), ("x", "d_dx"), ("p", "d_dp")):
+        want = _outcome(lambda: _per_term(full, x, p, eps, wrt))
+        if folded is OverflowError:
+            assert want is OverflowError
+            continue
+        got = _outcome(lambda: getattr(folded, name)(x, p))
+        if want is OverflowError:
+            assert got is OverflowError
+        elif math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
