@@ -40,6 +40,12 @@ with it, summing from 0.0 in term order.  So every sample is
 bit-identical to evaluating the unfolded terms at each point, signed
 zeros included; the tests pin the CSV bytes of two runs by SHA-256.
 
+Orbit CSV bytes are reproducible within one Python minor version (on one
+platform's C math library): the window's cube root is `math.cbrt` from
+Python 3.11 on and `abs(v) ** (1/3)` with the sign restored before it,
+and the two differ in the last bits.  So `test_csv_bytes_are_pinned`
+holds two digests per run, one for each cube root.
+
 The step budget `max_steps` counts every RK4 step, in a window or out
 (each adds one row), so it bounds the run time for any finite input.
 """

@@ -4,7 +4,9 @@ classical limit.
 Conjugation by the metric square root is carried out order by order on
 formal power series of operators: e^{sQ/2} A e^{-sQ/2} =
 sum_k (s/2)^k/k! ad_Q^k(A), which terminates at each series order
-because Q starts at order one.
+because Q starts at order one.  For the Hamiltonian's H0 half the
+nested commutators ad_Q^k(H0) = (-1)^k [..[H0, Q].., Q] are the ones the
+derivation already tabulated, so only eps H1 is conjugated term by term.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable
 from .algebra import OperatorExpr, h0, h1, symmetric_form
 from .errors import EngineError
 from .params import ParamPoly
-from .perturbation import QSeries, extend_one_order
+from .perturbation import QSeries, _extension
 from .rational import GaussianRational
 from .series import SeriesExpr, series_commutator
 
@@ -62,17 +64,19 @@ def observable_p(qs: QSeries) -> SeriesExpr:
 def equivalent_hermitian(qs: QSeries) -> SeriesExpr:
     """Hermitian counterpart of H, one order beyond the derived metric.
 
-    The order-(N+1) coefficient only involves the canonical part of the
-    next metric order, which is fully determined by the first N; the
-    extension is computed internally with zero free parameters.
+    h = e^{-Q/2} (H0 + eps H1) e^{Q/2}.  Its H0 half is
+    sum_k D[k] / (2^k k!), with D[k] the k-fold commutators
+    [..[H0, Q].., Q] from the derivation's table; the eps H1 half goes
+    through ``conjugate_by_sqrt_metric``.  The order-(N+1) coefficient
+    involves Q_{N+1} only through D[1][N+1] = [H0, Q_{N+1}] = R_{N+1},
+    which Q_1..Q_N fully determine; the extension is solved internally
+    with zero free parameters, which checks that R_{N+1} has a solution.
     """
     n = qs.params.order
-    ext = extend_one_order(qs)
-    coeffs = {j: qs.q(j) for j in range(1, n + 1)}
-    coeffs[n + 1] = ext
-    q = SeriesExpr(n + 1, coeffs)
-    ham = SeriesExpr(n + 1, {0: h0(), 1: h1()})
-    h = conjugate_by_sqrt_metric(ham, q, sign=-1)
+    _, bare = _extension(qs, lambda k: Fraction(1, 2 ** k * math.factorial(k)))
+    bare[0] = h0()
+    h = SeriesExpr(n + 1, bare) + conjugate_by_sqrt_metric(
+        SeriesExpr.of(h1(), 1, order=n + 1), _q_series(qs, n + 1), sign=-1)
     if not h.coeff(1).is_zero():
         raise EngineError("first-order term of the dressed Hamiltonian must vanish")
     for j in range(h.order + 1):

@@ -5,8 +5,11 @@ Q_j Hermitian.  Order j is obtained in three steps:
 
 1. ``build_r``: assemble the right-hand side R_j of [H0, Q_j] = R_j from
    the already-solved lower orders, via the universal rational weights
-   ``q_coefficient(k)`` and the order-j coefficients of the k-fold
-   nested series commutators of H0 with the lower-order series.
+   ``q_coefficient(k)`` and the order-j coefficients D[k][j] of the
+   k-fold nested commutators [..[H0, Q].., Q].  Column j of that table
+   reads only the columns before it, so ``derive_metric_series`` grows
+   it one column per order and computes each nested commutator once;
+   ``extend_one_order`` and ``equivalent_hermitian`` reuse it.
 2. ``solve_commutator_equation``: produce one particular Hermitian
    solution by descending-x-degree elimination.
 3. ``canonical_q``: move every x-free piece of the particular solution
@@ -31,7 +34,7 @@ from .algebra import OperatorExpr, commutator, h0, h1, scaling_degree
 from .errors import EngineError
 from .params import ParamPoly
 from .rational import GaussianRational
-from .series import SeriesExpr, series_commutator
+from .series import SeriesExpr
 
 DEFAULT_WEIGHT = 5
 
@@ -117,40 +120,83 @@ class MetricParams:
 # the three pipeline stages
 
 
-def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None = None,
-            weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
-    """Right-hand side R_j of the order-j commutator equation.
+class _NestedCommutators:
+    """Columns of D[k][m], the eps^m coefficient of [..[H0, Q].., Q] (k-fold).
 
-    R_1 = -2 H_1; for j >= 2 the lower orders mix through
-    R_j = sum_{k=2..j} q_k * sum_{s_1+...+s_k=j} [[..[H0, Q_{s_1}].., Q_{s_k}]].
-    The inner sum is the eps^j coefficient of T_k = [T_{k-1}, Q_<j] with
-    T_0 = H0 and Q_<j = sum_{s<j} Q_s eps^s, so each k costs one series
-    commutator.
+    For k >= 2, D[k][m] = sum_{s=1..m-k+1} [D[k-1][m-s], Q_s] reads only
+    earlier columns and Q_1..Q_{m-1}, so the table grows one column per
+    order.  D[1][m] = [H0, Q_m] is R_m for a derived Q_m: the solver's
+    round trip checks [H0, particular] = R_m, and the x-free terms that
+    canonical_q strips or adds commute with H0.
     """
-    if h1_op is None:
-        h1_op = h1()
-    if j < 1:
-        raise ValueError("order must be >= 1")
-    if len(prior_q) < j - 1:
-        raise ValueError(f"order {j} needs all lower orders, got {len(prior_q)}")
+
+    __slots__ = ("q", "cols")
+
+    def __init__(self, q=(), cols=()):
+        self.q = q        # Q_1, Q_2, ...
+        self.cols = cols  # cols[m - 1][k - 1] = D[k][m]
+
+    @classmethod
+    def of(cls, j, prior_q):
+        """Columns 1..j-1 from Q_1..Q_{j-1} alone, D[1][m] = [H0, Q_m]."""
+        if len(prior_q) < j - 1:
+            raise ValueError(f"order {j} needs all lower orders, got {len(prior_q)}")
+        table = cls()
+        for m, q in enumerate(prior_q[:j - 1], start=1):
+            table = table.add(q, commutator(h0(), q), table.column(m, (), True)[1])
+        return table
+
+    def add(self, q, d1, entries):
+        """This table with Q_m and column m = (D[1][m], *entries) appended."""
+        return _NestedCommutators(self.q + (q,), self.cols + ((d1, *entries),))
+
+    def column(self, m, coeffs, keep):
+        """([sum_{k>=2} c(k) D[k][m] for c in coeffs], D[2..m][m] if `keep`).
+
+        Without `keep` only the D[k][m] some c(k) needs are formed, one at
+        a time: no later column reads them.
+        """
+        sums = [OperatorExpr.zero() for _ in coeffs]
+        entries = []
+        for k in range(2, m + 1):
+            cs = [c(k) for c in coeffs]
+            if keep or any(cs):
+                d = sum((commutator(self.cols[i - 1][k - 2], self.q[m - i - 1])
+                         for i in range(k - 1, m)
+                         if self.cols[i - 1][k - 2] and self.q[m - i - 1]), OperatorExpr.zero())
+                if keep:
+                    entries.append(d)
+                sums = [acc + d.scale(c) if c else acc for acc, c in zip(sums, cs)]
+        return sums, entries
+
+
+def _source(j, table, h1_op, weight, coeffs=(), keep=False):
+    """(R_j, checked; the column's sums for `coeffs`; its entries if `keep`)."""
+    (r, *sums), entries = table.column(j, (q_coefficient, *coeffs), keep)
     if j == 1:
-        r = h1_op.scale(-2)
-    else:
-        r = OperatorExpr.zero()
-        lower = SeriesExpr(j, {s: prior_q[s - 1] for s in range(1, j)})
-        term = SeriesExpr.of(h0(), order=j)
-        for k in range(1, j + 1):
-            term = series_commutator(term, lower)
-            qk = q_coefficient(k)
-            if k >= 2 and qk != 0:
-                r = r + term.coeff(j).scale(qk)
+        r = (h1() if h1_op is None else h1_op).scale(-2)
     if not r.is_antihermitian():
         raise EngineError(f"order {j}: R_j is not anti-Hermitian (corrupted lower orders?)")
     deg = scaling_degree(r)
     expected = 2 - weight * j
     if not (r.is_zero() or deg == expected):
         raise EngineError(f"order {j}: R_j has scaling degree {deg}, expected {expected}")
-    return r
+    return r, sums, entries
+
+
+def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None = None,
+            weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
+    """Right-hand side R_j of the order-j commutator equation.
+
+    R_1 = -2 H_1; for j >= 2 the lower orders mix through
+    R_j = sum_{k=2..j} q_k * sum_{s_1+...+s_k=j} [[..[H0, Q_{s_1}].., Q_{s_k}]].
+    The inner sum is D[k][j] of a nested-commutator table built here
+    from Q_1..Q_{j-1} alone, so any list of lower orders may be passed;
+    ``derive_metric_series`` runs the same code on its growing table.
+    """
+    if j < 1:
+        raise ValueError("order must be >= 1")
+    return _source(j, _NestedCommutators.of(j, prior_q), h1_op, weight)[0]
 
 
 def solve_commutator_equation(r: OperatorExpr) -> OperatorExpr:
@@ -277,14 +323,20 @@ class OrderRecord:
 
 
 class QSeries:
-    """Per-order records of the generator plus the assembled series."""
+    """Per-order records of the generator plus the assembled series.
 
-    __slots__ = ("params", "weight", "orders")
+    ``derive_metric_series`` attaches its nested-commutator table
+    (columns 1..N-1); a series built by hand has none, and the next
+    order is then computed from its own records.
+    """
+
+    __slots__ = ("params", "weight", "orders", "_table")
 
     def __init__(self, params: MetricParams, weight: int, orders: Sequence[OrderRecord]):
         self.params = params
         self.weight = weight
         self.orders = tuple(orders)
+        self._table = None
 
     @property
     def order(self) -> int:
@@ -310,10 +362,11 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
                          weight: int = DEFAULT_WEIGHT) -> QSeries:
     """Run the full pipeline for orders 1..params.order."""
     records: list[OrderRecord] = []
-    prior: list[OperatorExpr] = []
+    table = _NestedCommutators()
     for j in range(1, params.order + 1):
+        keep = j < params.order
         try:
-            r = build_r(j, prior, h1_op, weight)
+            r, _, entries = _source(j, table, h1_op, weight, keep=keep)
             particular = solve_commutator_equation(r)
             stripped, hom, q = _canonical_parts(j, particular, params, weight)
         except EngineError:
@@ -321,8 +374,30 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
         except Exception as exc:  # pragma: no cover - defensive context wrapper
             raise EngineError(f"order {j}: {exc}") from exc
         records.append(OrderRecord(j, r, stripped, hom, q))
-        prior.append(q)
-    return QSeries(params, weight, records)
+        if keep:
+            table = table.add(q, r, entries)
+    qs = QSeries(params, weight, records)
+    qs._table = table
+    return qs
+
+
+def _extension(qs, coeff=None):
+    """(canonical particular Q_{N+1}, {m: sum_k coeff(k) D[k][m] for m = 1..N+1}
+    or {} without `coeff`).  Completes column N of the series' table, then
+    streams column N+1 into R_{N+1} and the sum."""
+    n, j = qs.order, qs.order + 1
+    if qs._table is None:
+        table = _NestedCommutators.of(j, qs.q_list())
+    else:
+        table = qs._table.add(qs.q(n), qs.record(n).r, qs._table.column(n, (), True)[1])
+    r, sums, _ = _source(j, table, None, qs.weight, () if coeff is None else (coeff,))
+    stripped = strip_x_free(solve_commutator_equation(r), j, qs.weight)[0]
+    if coeff is None:
+        return stripped, {}
+    by_order = {m: sum((d.scale(coeff(k)) for k, d in enumerate(col, start=1)),
+                       OperatorExpr.zero()) for m, col in enumerate(table.cols, start=1)}
+    by_order[j] = r.scale(coeff(1)) + sums[0]
+    return stripped, by_order
 
 
 def extend_one_order(qs: QSeries) -> OperatorExpr:
@@ -332,11 +407,7 @@ def extend_one_order(qs: QSeries) -> OperatorExpr:
     amplitudes first affect observables one order higher, so they are
     pinned to zero here.
     """
-    j = qs.order + 1
-    r = build_r(j, qs.q_list(), weight=qs.weight)
-    particular = solve_commutator_equation(r)
-    stripped, _, _ = strip_x_free(particular, j, qs.weight)
-    return stripped
+    return _extension(qs)[0]
 
 
 # ---------------------------------------------------------------------------

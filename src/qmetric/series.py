@@ -121,11 +121,3 @@ def series_commutator(a: SeriesExpr, b: SeriesExpr) -> SeriesExpr:
             c = commutator(e1, e2)
             out[j] = out[j] + c if j in out else c
     return SeriesExpr(n, out)
-
-
-def nested_series_commutator(a: SeriesExpr, b: SeriesExpr, k: int) -> SeriesExpr:
-    """k-fold commutator [...[[a, b], b], ..., b]."""
-    out = a
-    for _ in range(k):
-        out = series_commutator(out, b)
-    return out

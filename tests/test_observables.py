@@ -1,6 +1,7 @@
 """Dressed observables, the equivalent Hermitian Hamiltonian, and the
 classical limit."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,8 @@ from qmetric.observables import (classical_limit, conjugate_by_sqrt_metric,
                                  equivalent_hermitian, observable_p,
                                  observable_x)
 from qmetric.params import ParamPoly
-from qmetric.perturbation import MetricParams, derive_metric_series
+from qmetric.perturbation import (MetricParams, QSeries, derive_metric_series,
+                                  extend_one_order)
 from qmetric.rational import GaussianRational
 from qmetric.series import SeriesExpr, series_commutator
 
@@ -97,6 +99,61 @@ def test_hermitian_hamiltonian_undresses_back(formal3):
     truncated = SeriesExpr(3, {j: h.coeff(j) for j in range(4)})
     assert conjugate_by_sqrt_metric(truncated, q, sign=1) == SeriesExpr(
         3, {0: h0(), 1: h1()})
+
+
+def conjugated_hamiltonian(qs):
+    """The former formula: all of H0 + eps H1 conjugated, same checks."""
+    n = qs.order
+    q = SeriesExpr(n + 1, {**{j: qs.q(j) for j in range(1, n + 1)},
+                           n + 1: extend_one_order(qs)})
+    h = conjugate_by_sqrt_metric(SeriesExpr(n + 1, {0: h0(), 1: h1()}), q, sign=-1)
+    if not h.coeff(1).is_zero():
+        raise EngineError("first-order term of the dressed Hamiltonian must vanish")
+    for j in range(n + 2):
+        if not h.coeff(j).is_hermitian():
+            raise EngineError(f"dressed Hamiltonian not Hermitian at order {j}")
+    return h
+
+
+NUMERIC4 = MetricParams.numeric(4, lam=[2, F(-1, 3), 0, 1], kap=[F(1, 2), 0, 5, F(-2, 7)])
+
+
+@pytest.mark.parametrize("params", [MetricParams.formal(n) for n in range(1, 6)] + [NUMERIC4],
+                         ids=[f"formal{n}" for n in range(1, 6)] + ["numeric4"])
+def test_hermitian_hamiltonian_matches_full_conjugation(params):
+    qs = derive_metric_series(params)
+    want = conjugated_hamiltonian(qs)
+    assert equivalent_hermitian(qs) == want
+    # a series built by hand carries no table and rebuilds one
+    assert equivalent_hermitian(QSeries(qs.params, qs.weight, qs.orders)) == want
+
+
+def test_repeated_dressing_is_stable(formal4):
+    first = equivalent_hermitian(formal4), extend_one_order(formal4)
+    second = equivalent_hermitian(formal4), extend_one_order(formal4)
+    assert first == second
+
+
+def outcome(fn, qs):
+    try:
+        return fn(qs)
+    except EngineError as exc:
+        return str(exc)
+
+
+def tampered(qs, index):
+    """qs with Q at `index` shifted by x, its records otherwise kept."""
+    orders = list(qs.orders)
+    orders[index] = dataclasses.replace(orders[index], q=orders[index].q + OperatorExpr.x_power(1))
+    return QSeries(qs.params, qs.weight, orders)
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_tampered_series_reads_its_own_records(formal3, index):
+    bad = tampered(formal3, index)
+    got = outcome(equivalent_hermitian, bad)
+    assert got == outcome(conjugated_hamiltonian, bad)
+    assert got != equivalent_hermitian(formal3)
 
 
 # -- classical limit --------------------------------------------------------------

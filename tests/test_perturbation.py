@@ -13,6 +13,7 @@ Three independent oracles pin the pipeline:
   of the nested commutators, again formed from plain products.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +23,7 @@ import pytest
 from qmetric.algebra import OperatorExpr, commutator, h0, h1
 from qmetric.errors import EngineError
 from qmetric.params import ParamPoly
-from qmetric.perturbation import (MetricParams, bbj_compare, bbj_expansion,
+from qmetric.perturbation import (MetricParams, QSeries, bbj_compare, bbj_expansion,
                                   build_r, derive_metric_series,
                                   extend_one_order, homogeneous_q,
                                   q_coefficient, solve_commutator_equation,
@@ -200,6 +201,39 @@ def test_homogeneous_directions_are_hermitian():
 def test_extension_matches_full_derivation(formal3, formal4):
     ext = extend_one_order(formal3)
     assert ext == formal4.record(4).particular
+
+
+def test_hand_built_series_extends_alike(formal4):
+    rebuilt = QSeries(formal4.params, formal4.weight, formal4.orders)
+    assert extend_one_order(rebuilt) == extend_one_order(formal4)
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_tampered_series_extends_from_its_own_records(formal3, index):
+    orders = list(formal3.orders)
+    orders[index] = dataclasses.replace(orders[index], q=orders[index].q + OperatorExpr.x_power(1))
+    bad = QSeries(formal3.params, formal3.weight, orders)
+
+    def fresh(qs):
+        r = build_r(qs.order + 1, qs.q_list())
+        return strip_x_free(solve_commutator_equation(r), qs.order + 1)[0]
+
+    outcomes = []
+    for extend in (extend_one_order, fresh):
+        try:
+            outcomes.append(extend(bad))
+        except EngineError as exc:
+            outcomes.append(str(exc))
+    # Q_N enters R_{N+1} only with the weight q_2 = 0, so shifting the last
+    # record leaves the extension as it was; shifting the first breaks it.
+    assert outcomes[0] == outcomes[1]
+
+
+def test_recorded_sources_match_standalone_build_r():
+    qs = derive_metric_series(MetricParams.formal(6))
+    prior = qs.q_list()
+    for j in range(1, 7):
+        assert qs.record(j).r == build_r(j, prior[:j - 1]), j
 
 
 def test_params_validation():

@@ -4,7 +4,7 @@ import pytest
 
 from qmetric.algebra import OperatorExpr, h0, h1
 from qmetric.rational import GaussianRational
-from qmetric.series import SeriesExpr, nested_series_commutator, series_commutator
+from qmetric.series import SeriesExpr, series_commutator
 
 X = OperatorExpr.x_power(1)
 P = OperatorExpr.p_power(1)
@@ -69,12 +69,3 @@ def test_scale_and_equality():
     assert a.scale(i).coeff(1) == X.scale(i)
     assert a != SeriesExpr(3, {1: X})  # order is part of the value
     assert hash(a) == hash(SeriesExpr(2, {1: X}))
-
-
-def test_nested_commutator_is_right_nested():
-    a = SeriesExpr(3, {0: h0()})
-    b = SeriesExpr(3, {1: X * X * X})
-    once = series_commutator(a, b)
-    assert nested_series_commutator(a, b, 1) == once
-    assert nested_series_commutator(a, b, 2) == series_commutator(once, b)
-    assert nested_series_commutator(a, b, 0) == a
