@@ -18,12 +18,23 @@ The product rule that makes expr_mul nontrivial is the normal-ordering
 identity  p^b x^a = sum_k C(a,k) (-i)^k ff(b,k) x^(a-k) p^(b-k)  with ff
 the falling factorial, valid for negative b as well, together with
 P x = -x P,  P p = -p P,  P^2 = 1.
+
+Products run on integers (the layout of FLINT's fmpq_poly).  poly_mul,
+expr_mul and expr_commutator convert each operand once per call to
+Gaussian-integer numerators (re, im) over one denominator, the lcm of
+the operand's denominators.  The parameter-polynomial products and the
+normal-ordering weights C(a,k) ff(b,k) (-i)^k are exact integers, so
+every term is accumulated with plain int adds; each surviving output
+coefficient is then reduced once, by q_make over the product of the two
+denominators, and zero sums are dropped.  The output is in the same
+canonical form as every other scalar above.
 """
 
 from math import gcd
 
 Q_ZERO = (0, 1, 0, 1)
 Q_ONE = (1, 1, 0, 1)
+_INT_ZERO = (0, 0)
 
 
 def q_make(an, ad, bn, bd):
@@ -129,19 +140,8 @@ def poly_scale(p, u):
 
 
 def poly_mul(p1, p2):
-    out = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            ev = ev_mul(e1, e2)
-            c = q_mul(c1, c2)
-            old = out.get(ev)
-            if old is not None:
-                c = q_add(old, c)
-            if c[0] == 0 and c[2] == 0:
-                out.pop(ev, None)
-            else:
-                out[ev] = c
-    return out
+    d1, d2 = _common_den((p1,)), _common_den((p2,))
+    return _reduce(_int_poly_mul(_to_int(p1, d1), _to_int(p2, d2)), d1 * d2)
 
 
 def expr_add(t1, t2):
@@ -170,92 +170,117 @@ def expr_scale(t, u):
     return {k: poly_scale(p, u) for k, p in t.items()}
 
 
-# (-i)^k as scalar components, indexed by k mod 4.
-_MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
+def _common_den(polys):
+    """The lcm of every denominator in the given polys."""
+    den = 1
+    for p in polys:
+        for c in p.values():
+            for d in (c[1], c[3]):
+                if den % d:
+                    den = den // gcd(den, d) * d
+    return den
+
+
+def _to_int(p, den):
+    """Poly p as {ev: (re, im)}, Gaussian-integer numerators over den."""
+    return {ev: (c[0] * (den // c[1]), c[2] * (den // c[3])) for ev, c in p.items()}
+
+
+def _reduce(p, den):
+    """Integer-numerator poly p over den back to scalars; drops zero sums."""
+    return {ev: q_make(re, den, im, den) for ev, (re, im) in p.items() if re or im}
+
+
+def _int_poly_mul(p1, p2):
+    """Product of two integer-numerator polys; zero sums are kept."""
+    out = {}
+    for e1, (r1, i1) in p1.items():
+        for e2, (r2, i2) in p2.items():
+            ev = ev_mul(e1, e2)
+            old = out.get(ev, _INT_ZERO)
+            out[ev] = (old[0] + r1 * r2 - i1 * i2, old[1] + r1 * i2 + i1 * r2)
+    return out
+
+
+def _product_weights(a1, b1, e1, a2, b2, e2):
+    """[(k, n)] with m1*m2 = sum_k n (-i)^k x^(a1+a2-k) p^(b1+b2-k) P^(e1^e2).
+
+    n = C(a2,k) ff(b1,k) times the parity sign, an exact integer recurrence.
+    """
+    n = -1 if (e1 and ((a2 + b2) & 1)) else 1
+    out = [(0, n)]
+    for k in range(1, a2 + 1):
+        n = n * (a2 - k + 1) * (b1 - k + 1) // k
+        if n == 0:
+            break
+        out.append((k, n))
+    return out
+
+
+def _commutator_weights(a1, b1, e1, a2, b2, e2):
+    """The weights of m1*m2 - m2*m1, merged per k.
+
+    Both normal-ordering sums share every output key, so the weights
+    subtract (the k = 0 weights cancel unless the parity signs differ).
+    """
+    # c12 = C(a2,k) ff(b1,k) from m1*m2, c21 = C(a1,k) ff(b2,k) from
+    # m2*m1, each carrying its parity sign.
+    c12 = -1 if (e1 and ((a2 + b2) & 1)) else 1
+    c21 = -1 if (e2 and ((a1 + b1) & 1)) else 1
+    out = []
+    for k in range(max(a1, a2) + 1):
+        if k:
+            c12 = c12 * (a2 - k + 1) * (b1 - k + 1) // k
+            c21 = c21 * (a1 - k + 1) * (b2 - k + 1) // k
+            if c12 == 0 and c21 == 0:
+                break
+        if c12 != c21:
+            out.append((k, c12 - c21))
+    return out
+
+
+def _int_kernel(t1, t2, weights):
+    """sum over monomial pairs of weights(m1, m2) times the poly product,
+    accumulated in integers and reduced once per output coefficient."""
+    d1, d2 = _common_den(t1.values()), _common_den(t2.values())
+    n2 = [(k, _to_int(p, d2)) for k, p in t2.items()]
+    acc = {}
+    for (a1, b1, e1), p1 in t1.items():
+        p1 = _to_int(p1, d1)
+        for (a2, b2, e2), p2 in n2:
+            pc = None
+            for k, n in weights(a1, b1, e1, a2, b2, e2):
+                if pc is None:
+                    pc = _int_poly_mul(p1, p2)
+                # n * (-i)^k: real for even k, imaginary for odd k.
+                if k & 2:
+                    n = -n
+                poly = acc.setdefault((a1 + a2 - k, b1 + b2 - k, e1 ^ e2), {})
+                get = poly.get
+                if k & 1:
+                    for ev, (re, im) in pc.items():
+                        old = get(ev, _INT_ZERO)
+                        poly[ev] = (old[0] + n * im, old[1] - n * re)
+                else:
+                    for ev, (re, im) in pc.items():
+                        old = get(ev, _INT_ZERO)
+                        poly[ev] = (old[0] + n * re, old[1] + n * im)
+    den = d1 * d2
+    out = {}
+    for key, poly in acc.items():
+        poly = _reduce(poly, den)
+        if poly:
+            out[key] = poly
+    return out
 
 
 def expr_mul(t1, t2):
     """Normal-ordered product of two exprs."""
-    out = {}
-    for (a1, b1, e1), p1 in t1.items():
-        for (a2, b2, e2), p2 in t2.items():
-            sign = -1 if (e1 and ((a2 + b2) & 1)) else 1
-            pc = poly_mul(p1, p2)
-            if not pc:
-                continue
-            e = e1 ^ e2
-            # coef = C(a2,k) * ff(b1,k), exact integer recurrence
-            coef = 1
-            for k in range(a2 + 1):
-                if k:
-                    coef = coef * (a2 - k + 1) * (b1 - k + 1) // k
-                    if coef == 0:
-                        break
-                ur, ui = _MINUS_I_POW[k & 3]
-                u = (sign * coef * ur, 1, sign * coef * ui, 1)
-                key = (a1 + a2 - k, b1 + b2 - k, e)
-                contrib = poly_scale(pc, u)
-                old = out.get(key)
-                if old is None:
-                    out[key] = contrib
-                else:
-                    s = poly_add(old, contrib)
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-    return out
+    return _int_kernel(t1, t2, _product_weights)
 
 
 def expr_commutator(t1, t2):
-    """Normal-ordered commutator t1*t2 - t2*t1.
+    """Normal-ordered commutator t1*t2 - t2*t1, one poly product per
+    monomial pair."""
+    return _int_kernel(t1, t2, _commutator_weights)
 
-    Scalars commute, so each monomial pair needs one poly product; the two
-    normal-ordering sums share every output key and merge into one
-    integer weight per k (the k = 0 weights cancel unless the parity
-    signs differ).
-    """
-    out = {}
-    for (a1, b1, e1), p1 in t1.items():
-        for (a2, b2, e2), p2 in t2.items():
-            # c12 = C(a2,k) ff(b1,k) from m1*m2, c21 = C(a1,k) ff(b2,k)
-            # from m2*m1, each carrying its parity sign.
-            c12 = -1 if (e1 and ((a2 + b2) & 1)) else 1
-            c21 = -1 if (e2 and ((a1 + b1) & 1)) else 1
-            pc = None
-            e = e1 ^ e2
-            for k in range(max(a1, a2) + 1):
-                if k:
-                    c12 = c12 * (a2 - k + 1) * (b1 - k + 1) // k
-                    c21 = c21 * (a1 - k + 1) * (b2 - k + 1) // k
-                    if c12 == 0 and c21 == 0:
-                        break
-                n = c12 - c21
-                if n == 0:
-                    continue
-                if pc is None:
-                    pc = poly_mul(p1, p2)
-                    if not pc:
-                        break
-                # n * (-i)^k: real for even k, imaginary for odd k.
-                if k & 2:
-                    n = -n
-                key = (a1 + a2 - k, b1 + b2 - k, e)
-                poly = out.get(key)
-                if poly is None:
-                    poly = out[key] = {}
-                for ev, c in pc.items():
-                    if k & 1:
-                        c = (n * c[2], c[3], -n * c[0], c[1])
-                    else:
-                        c = (n * c[0], c[1], n * c[2], c[3])
-                    old = poly.get(ev)
-                    if old is None:
-                        poly[ev] = q_make(*c)
-                    else:
-                        c = q_add(old, c)
-                        if c[0] == 0 and c[2] == 0:
-                            del poly[ev]
-                        else:
-                            poly[ev] = c
-    return {k: p for k, p in out.items() if p}

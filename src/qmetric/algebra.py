@@ -9,8 +9,9 @@ are normal ordered through
     P x^a p^b = (-1)^(a+b) x^a p^b P,   P^2 = 1,
 
 which hold for every integer b (ff is the falling factorial).  The
-momentum-representation oracle in qmetric.momentum provides an
-independent check of all of this.
+test suite checks all of this against oracles that share no code with
+it: the momentum representation (tests/momentum.py) and a normal-ordered
+product modulo a prime (tests/test_modp_oracle.py).
 """
 
 from __future__ import annotations

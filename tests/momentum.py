@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import OperatorExpr
-from .rational import GaussianRational
+from qmetric.algebra import OperatorExpr
+from qmetric.rational import GaussianRational
 
 _I = GaussianRational(0, 1)
 

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from qmetric.algebra import (OperatorExpr, anticommutator, commutator,
                              from_symmetric_form, h0, h1, scaling_degree,
                              symmetric_form)
-from qmetric.momentum import LaurentPoly, PFunction, momentum_rep_apply
 from qmetric.params import ParamPoly
 from qmetric.rational import GaussianRational
+
+from momentum import LaurentPoly, PFunction, momentum_rep_apply
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 

@@ -1,5 +1,8 @@
-"""The commutator kernel and the grouped adjoint against the product-built
-forms they replace."""
+"""The product and commutator kernels against a reference product on
+Fraction pairs, plus the kernel identities and the grouped adjoint."""
+
+import math
+from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
@@ -10,9 +13,84 @@ ints = st.integers(-999, 999)
 dens = st.integers(1, 99)
 
 
+# -- a reference normal-ordered product that shares no code with the core --
+
+def _as_pairs(t):
+    """Core expr -> {mono: {ev: (Fraction re, Fraction im)}}."""
+    return {k: {ev: (Fraction(c[0], c[1]), Fraction(c[2], c[3]))
+                for ev, c in p.items()} for k, p in t.items()}
+
+
+def _as_core(t):
+    """Reference expr -> core expr, zeros and empty polys dropped."""
+    out = {}
+    for k, p in t.items():
+        poly = {ev: (re.numerator, re.denominator, im.numerator, im.denominator)
+                for ev, (re, im) in p.items() if re or im}
+        if poly:
+            out[k] = poly
+    return out
+
+
+def _merge_ev(e1, e2):
+    powers = dict(e1)
+    for sid, x in e2:
+        powers[sid] = powers.get(sid, 0) + x
+    return tuple(sorted(powers.items()))
+
+
+def _ref_accumulate(out, t1, t2, sign):
+    """out += sign * t1 * t2, from p^b x^a = sum_k C(a,k) (-i)^k ff(b,k)
+    x^(a-k) p^(b-k) and P x^a p^b = (-1)^(a+b) x^a p^b P."""
+    for (a1, b1, e1), p1 in t1.items():
+        for (a2, b2, e2), p2 in t2.items():
+            parity = -1 if e1 and (a2 + b2) % 2 else 1
+            for k in range(a2 + 1):
+                w = sign * parity * math.comb(a2, k) * math.prod(b1 - j for j in range(k))
+                wr, wi = [(w, 0), (0, -w), (-w, 0), (0, w)][k % 4]
+                poly = out.setdefault((a1 + a2 - k, b1 + b2 - k, e1 ^ e2), {})
+                for ev1, (r1, i1) in p1.items():
+                    for ev2, (r2, i2) in p2.items():
+                        cr, ci = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+                        ev = _merge_ev(ev1, ev2)
+                        re, im = poly.get(ev, (0, 0))
+                        poly[ev] = (re + cr * wr - ci * wi, im + cr * wi + ci * wr)
+
+
+def ref_mul(t1, t2):
+    out = {}
+    _ref_accumulate(out, _as_pairs(t1), _as_pairs(t2), 1)
+    return _as_core(out)
+
+
+def ref_commutator(t1, t2):
+    out = {}
+    _ref_accumulate(out, _as_pairs(t1), _as_pairs(t2), 1)
+    _ref_accumulate(out, _as_pairs(t2), _as_pairs(t1), -1)
+    return _as_core(out)
+
+
+def assert_canonical(t):
+    for (a, b, e), poly in t.items():
+        assert a >= 0 and e in (0, 1)
+        assert poly, "empty poly"
+        for ev, (an, ad, bn, bd) in poly.items():
+            assert list(ev) == sorted(ev) and all(x > 0 for _, x in ev)
+            assert ad > 0 and bd > 0
+            assert math.gcd(an, ad) == 1 and math.gcd(bn, bd) == 1
+            assert an or bn, "zero scalar"
+
+
+def _snapshot(t):
+    return {k: dict(p) for k, p in t.items()}
+
+
+# -- strategies ---------------------------------------------------------------
+
 @st.composite
 def scalars(draw):
-    return core.q_make(draw(ints), draw(dens), draw(ints), draw(dens))
+    re, im = Fraction(draw(ints), draw(dens)), Fraction(draw(ints), draw(dens))
+    return (re.numerator, re.denominator, im.numerator, im.denominator)
 
 
 @st.composite
@@ -22,7 +100,7 @@ def polys(draw):
         ev = tuple(sorted({draw(st.integers(0, 5)): draw(st.integers(1, 3))
                            for _ in range(draw(st.integers(0, 2)))}.items()))
         c = draw(scalars())
-        if not core.q_is_zero(c):
+        if c[0] or c[2]:
             out[ev] = c
     return out
 
@@ -38,6 +116,71 @@ def op_tables(draw):
         if p:
             out[key] = p
     return out
+
+
+fracs = st.builds(Fraction, ints.filter(bool), dens)
+
+
+def _gauss(re, im):
+    return (re.numerator, re.denominator, im.numerator, im.denominator)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """g (c1 l1 + c2 l2) m1 and h (c3 l1 + c4 l2) m2 with c4 = -c2 c3 / c1:
+    the l1 l2 term of every product poly cancels exactly."""
+    c1, c2, c3 = draw(fracs), draw(fracs), draw(fracs)
+    c4 = -c2 * c3 / c1
+    out = []
+    for x, y in ((c1, c2), (c3, c4)):
+        gr, gi = draw(fracs), draw(fracs)
+        key = (draw(st.integers(0, 4)), draw(st.integers(-4, 4)),
+               draw(st.integers(0, 1)))
+        out.append({key: {((0, 1),): _gauss(gr * x, gi * x),
+                          ((1, 1),): _gauss(gr * y, gi * y)}})
+    return tuple(out)
+
+
+pairs = st.tuples(op_tables(), op_tables()) | cancelling_pairs()
+CROSS = ((0, 1), (1, 1))
+
+
+# -- properties ---------------------------------------------------------------
+
+@given(pairs)
+def test_product_matches_reference(pair):
+    a, b = pair
+    before = (_snapshot(a), _snapshot(b))
+    got = core.expr_mul(a, b)
+    assert got == ref_mul(a, b)
+    assert_canonical(got)
+    assert (a, b) == before
+
+
+@given(pairs)
+def test_commutator_matches_reference(pair):
+    a, b = pair
+    before = (_snapshot(a), _snapshot(b))
+    got = core.expr_commutator(a, b)
+    assert got == ref_commutator(a, b)
+    assert_canonical(got)
+    assert (a, b) == before
+
+
+@given(cancelling_pairs())
+def test_cancelled_terms_are_dropped(pair):
+    a, b = pair
+    for t in (core.expr_mul(a, b), core.expr_commutator(a, b),
+              {(0, 0, 0): core.poly_mul(*a.values(), *b.values())}):
+        assert all(CROSS not in p for p in t.values())
+
+
+@given(op_tables(), polys())
+def test_commutator_with_own_multiple_vanishes(a, f):
+    # [a, f a] = f [a, a] = 0 for a scalar polynomial f: every output
+    # coefficient must cancel exactly, whatever the denominators.
+    fa = {k: core.poly_mul(p, f) for k, p in a.items()}
+    assert core.expr_commutator(a, {k: p for k, p in fa.items() if p}) == {}
 
 
 def _minus(t1, t2):

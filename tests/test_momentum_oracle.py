@@ -3,8 +3,9 @@
 from hypothesis import given, strategies as st
 
 from qmetric.algebra import OperatorExpr, commutator
-from qmetric.momentum import LaurentPoly, PFunction, momentum_rep_apply
 from qmetric.rational import GaussianRational
+
+from momentum import LaurentPoly, PFunction, momentum_rep_apply
 
 fracs = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 

@@ -1,5 +1,6 @@
 """Text forms: canonical rendering, parsing, and pinned golden output."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -9,9 +10,11 @@ from hypothesis import given, strategies as st
 
 from qmetric.algebra import OperatorExpr, parse_expr, serialize_expr
 from qmetric.params import ParamPoly
+from qmetric.perturbation import MetricParams, derive_metric_series
 from qmetric.rational import GaussianRational
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+FORMAL8 = pathlib.Path(__file__).parents[1] / "perfbench" / "formal8.txt"
 
 fracs = st.fractions(min_value=-40, max_value=40, max_denominator=24)
 
@@ -71,3 +74,15 @@ def test_golden_free_particle():
                "--format", "json")
     want = (GOLDEN / "free_particle.json").read_text()
     assert got == want
+
+
+def test_formal_order8_matches_benchmark_record():
+    qs = derive_metric_series(MetricParams.formal(8))
+    got = "".join(serialize_expr(q) + "\n" for q in qs.q_list())
+    assert got == FORMAL8.read_text(encoding="utf-8")
+
+
+def test_observables_order6_bytes_are_pinned():
+    got = _cli("observables", "--order", "6").encode()
+    assert hashlib.sha256(got).hexdigest() == (
+        "3fb26cdc9b99b8dea1427cd1031fc2847e7a35804e3ce8a59373fcff10fee4d6")
