@@ -32,13 +32,28 @@ trajectory (the transverse invariant delta(p^2) stays at the 1e-13 level
 through the window while H evaluated at the closest samples can swing by
 orders of magnitude).  The CSV rows still record H as computed.
 
-The Hamiltonian's constants are folded once per orbit:
-`ClassicalHamiltonian.at(epsilon)` multiplies each term's c * eps^j * m^mpow
-(and the exponent, for a derivative) into one float, left to right as
-the term's full product does, and the steppers evaluate k * x**a * p**b
-with it, summing from 0.0 in term order.  So every sample is
-bit-identical to evaluating the unfolded terms at each point, signed
-zeros included; the tests pin the CSV bytes of two runs by SHA-256.
+The steppers are specific to the one Hamiltonian shape accepted here
+(`_require_sextic`).  `ClassicalHamiltonian.at(epsilon)` folds each
+term's c * eps^j * m^mpow (and the exponent, for a derivative) into one
+float, left to right as the term's full product does; the five folded
+constants are read once per orbit, keyed by (x power, p power), and the
+closed forms
+
+    H     = 0.0 + kh * p**2 + ch * x**6 * p**-2
+    dH/dx = 0.0 +             cx * x**5 * p**-2
+    dH/dp = 0.0 + kp * p    + cp * x**6 * p**-3
+
+are bit-identical to the generic folded sum of k * x**a * p**b: x**0 is
+1.0 and p**1 is p for every float, so k * x**0 * p**b equals k * p**b,
+and a two-term sum from 0.0 gives the same bits in either term order,
+signed zeros included.  The powers stay `**` (x**5 * x is not x**6 bit
+for bit).  A property test checks the closed forms against the generic
+fold, and the tests pin the CSV bytes of two runs by SHA-256.
+
+The samples are stored as one interleaved `array('d')` of t, x, p, H,
+32 bytes per sample; `OrbitResult.rows` is a read-only view over it
+that takes `len`, integer indices (negative ones too) and yields
+(t, x, p, H) tuples when iterated.
 
 Orbit CSV bytes are reproducible within one Python minor version (on one
 platform's C math library): the window's cube root is `math.cbrt` from
@@ -46,16 +61,18 @@ Python 3.11 on and `abs(v) ** (1/3)` with the sign restored before it,
 and the two differ in the last bits.  So `test_csv_bytes_are_pinned`
 holds two digests per run, one for each cube root.
 
-The step budget `max_steps` counts every RK4 step, in a window or out
-(each adds one row), so it bounds the run time for any finite input.
+The step budget `max_steps` is checked against an integer count of
+every RK4 step, in a window or out (each adds one sample), so it bounds
+the run time for any finite input.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Iterator
 
 from .errors import EngineError
 from .observables import ClassicalHamiltonian, FoldedHamiltonian
@@ -75,6 +92,30 @@ _SEXTIC_SHAPE = {
 }
 
 
+class OrbitRows:
+    """Read-only (t, x, p, H) view over an interleaved array('d')."""
+
+    __slots__ = ("_samples",)
+
+    def __init__(self, samples: array) -> None:
+        self._samples = samples
+
+    def __len__(self) -> int:
+        return len(self._samples) // 4
+
+    def __getitem__(self, i: int) -> tuple:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("orbit row index out of range")
+        return tuple(self._samples[4 * i:4 * i + 4])
+
+    def __iter__(self) -> Iterator[tuple]:
+        it = iter(self._samples)
+        return zip(it, it, it, it)
+
+
 @dataclass(frozen=True)
 class OrbitResult:
     """One integrated orbit: samples, period data, and error measures."""
@@ -82,7 +123,7 @@ class OrbitResult:
     epsilon: float
     mass: float
     dt: float
-    rows: list  # of (t, x, p, H)
+    rows: OrbitRows  # of (t, x, p, H)
     period: float | None
     closure: float | None
     energy_drift: float
@@ -97,33 +138,45 @@ class OrbitResult:
 
     def _write(self, fh: IO[str]) -> None:
         fh.write("t,x,p,H\n")
-        for t, x, p, h in self.rows:
-            fh.write("%.12e,%.12e,%.12e,%.12e\n" % (t, x, p, h))
+        fh.writelines(map("%.12e,%.12e,%.12e,%.12e\n".__mod__, self.rows))
 
 
 def _require_sextic(hc: ClassicalHamiltonian) -> None:
-    shape = {key: val for key, val in hc.term_map().items()}
-    if shape != _SEXTIC_SHAPE:
+    shape = hc.term_map()
+    if shape != _SEXTIC_SHAPE or len(hc.terms) != len(shape):
         raise EngineError(
             "orbit integration needs the canonical kinetic + sextic "
             f"Hamiltonian, got terms {sorted(shape)}")
 
 
-def _rk4_t(field: FoldedHamiltonian, x: float, p: float,
-           dt: float) -> tuple[float, float]:
-    d_dp, d_dx = field.d_dp, field.d_dx
-    k1x, k1p = d_dp(x, p), -d_dx(x, p)
-    x2, p2 = x + 0.5 * dt * k1x, p + 0.5 * dt * k1p
-    k2x, k2p = d_dp(x2, p2), -d_dx(x2, p2)
-    x3, p3 = x + 0.5 * dt * k2x, p + 0.5 * dt * k2p
-    k3x, k3p = d_dp(x3, p3), -d_dx(x3, p3)
-    x4, p4 = x + dt * k3x, p + dt * k3p
-    k4x, k4p = d_dp(x4, p4), -d_dx(x4, p4)
+def _sextic_constants(field: FoldedHamiltonian) -> tuple:
+    """(kh, ch, cx, kp, cp): the folded constants of the closed forms."""
+    h = {(a, b): k for k, a, b in field.h}
+    dh_dx = {(a, b): k for k, a, b in field.dh_dx}
+    dh_dp = {(a, b): k for k, a, b in field.dh_dp}
+    return h[0, 2], h[6, -2], dh_dx[5, -2], dh_dp[0, 1], dh_dp[6, -3]
+
+
+def _energy(c: tuple, x: float, p: float) -> float:
+    return 0.0 + c[0] * p ** 2 + c[1] * x ** 6 * p ** -2
+
+
+def _velocity(c: tuple, x: float, p: float) -> tuple[float, float]:
+    """(dH/dp, -dH/dx) at (x, p)."""
+    return (0.0 + c[3] * p + c[4] * x ** 6 * p ** -3,
+            -(0.0 + c[2] * x ** 5 * p ** -2))
+
+
+def _rk4_t(c: tuple, x: float, p: float, dt: float) -> tuple[float, float]:
+    k1x, k1p = _velocity(c, x, p)
+    k2x, k2p = _velocity(c, x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+    k3x, k3p = _velocity(c, x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+    k4x, k4p = _velocity(c, x + dt * k3x, p + dt * k3p)
     return (x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0,
             p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0)
 
 
-def _crossing_time(field: FoldedHamiltonian, x: float, p: float,
+def _crossing_time(c: tuple, x: float, p: float,
                    dt: float) -> tuple[float, float, float]:
     """Refine the x=0 crossing inside one step from (x, p), x < 0.
 
@@ -133,7 +186,7 @@ def _crossing_time(field: FoldedHamiltonian, x: float, p: float,
     lo, hi = 0.0, dt
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        xm, _ = _rk4_t(field, x, p, mid)
+        xm, _ = _rk4_t(c, x, p, mid)
         if xm < 0.0:
             lo = mid
         else:
@@ -141,25 +194,25 @@ def _crossing_time(field: FoldedHamiltonian, x: float, p: float,
         if hi - lo <= 1e-18 * dt:
             break
     tau = 0.5 * (lo + hi)
-    xs, ps = _rk4_t(field, x, p, tau)
+    xs, ps = _rk4_t(c, x, p, tau)
     return tau, xs, ps
 
 
-def _traverse_pinch(field: FoldedHamiltonian, t: float, x: float, p: float,
-                    dt: float, theta: float, rows: list,
-                    budget: int) -> tuple[float, float, float] | None:
+def _traverse_pinch(field: FoldedHamiltonian, c: tuple, t: float, x: float,
+                    p: float, dt: float, theta: float, samples: array,
+                    budget: int) -> tuple[float, float, float, int] | None:
     """Carry (t, x, p) through the pinch window in x-parametrized form.
 
-    Returns the state at the window's exit, or None once `budget` steps
-    are spent inside the window.
+    Returns the state at the window's exit and the steps taken, or None
+    once `budget` steps are spent inside the window.
     """
     m, eps = field.mass, field.epsilon
     c_sextic = float(Fraction(3, 8)) * m * eps * eps
-    energy = field.evaluate(x, p)
+    energy = _energy(c, x, p)
     m_energy = m * energy
     threshold = theta * m_energy
 
-    xdot = field.d_dp(x, p)
+    xdot, _ = _velocity(c, x, p)
     if xdot == 0.0:
         raise EngineError("pinch window entered with zero velocity")
     h = math.copysign(abs(xdot) * dt, xdot)
@@ -172,7 +225,7 @@ def _traverse_pinch(field: FoldedHamiltonian, t: float, x: float, p: float,
 
     w = p ** 3
     max_inner = int(4.0 * abs(x) / abs(h)) + 64
-    for _ in range(min(max_inner, budget)):
+    for steps in range(1, min(max_inner, budget) + 1):
         k1w, k1t = f(x, w)
         k2w, k2t = f(x + 0.5 * h, w + 0.5 * h * k1w)
         k3w, k3t = f(x + 0.5 * h, w + 0.5 * h * k2w)
@@ -181,13 +234,19 @@ def _traverse_pinch(field: FoldedHamiltonian, t: float, x: float, p: float,
         w += h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
         t += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
         pw = _cbrt(w)
-        h_row = field.evaluate(x, pw) if pw != 0.0 else math.inf
-        rows.append((t, x, pw, h_row))
+        samples.extend((t, x, pw, _energy(c, x, pw) if pw != 0.0 else math.inf))
         if pw * pw >= threshold:
-            return t, x, pw
+            return t, x, pw, steps
     if budget < max_inner:
         return None
     raise EngineError("pinch window failed to exit")
+
+
+def _require_count(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise EngineError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise EngineError(f"{name} must be at least 1")
 
 
 def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
@@ -204,7 +263,9 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
     `max_steps` bounds every RK4 step taken, inside pinch windows too.
     If the section is never reached within it (e.g. epsilon = 0, where
     the motion is free and unbounded), `period` and `closure` are None
-    and the rows simply record the integrated stretch.
+    and the rows simply record the integrated stretch.  `periods` and
+    `max_steps` must be ints of at least 1, and the window gate `theta`
+    must lie strictly between 0 and 1.
     """
     _require_sextic(hc)
     for name, value in (("epsilon", epsilon), ("dt", dt), ("x0", x0), ("p0", p0)):
@@ -214,10 +275,10 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
         raise EngineError("epsilon must be non-negative")
     if dt <= 0.0:
         raise EngineError("dt must be positive")
-    if periods < 1:
-        raise EngineError("periods must be at least 1")
-    if max_steps < 1:
-        raise EngineError("max_steps must be at least 1")
+    _require_count("periods", periods)
+    _require_count("max_steps", max_steps)
+    if not 0.0 < theta < 1.0:
+        raise EngineError(f"theta must lie strictly between 0 and 1, got {theta!r}")
     try:
         return _integrate(hc.at(epsilon), x0, p0, dt, periods, theta, max_steps)
     except OverflowError as exc:
@@ -228,46 +289,49 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
                dt: float, periods: int, theta: float,
                max_steps: int) -> OrbitResult:
     m = field.mass
+    c = _sextic_constants(field)
     if p0 is None:
         p0 = math.sqrt(2.0 * m)
     if p0 == 0.0:
         raise EngineError("p0 = 0 sits on the pinch itself")
 
     t, x, p = 0.0, float(x0), float(p0)
-    e0 = field.evaluate(x, p)
+    e0 = _energy(c, x, p)
     if e0 <= 0.0:
         raise EngineError("initial energy must be positive")
     gate = theta * m * e0
 
-    rows: list = [(t, x, p, e0)]
+    samples = array("d", (t, x, p, e0))
     windows: list = []
     drift = 0.0
     start_on_section = x0 == 0.0 and p0 > 0.0
     crossings: list = [(t, x, p)] if start_on_section else []
     needed = periods + 1
 
-    # Every step, inside a window or out, adds one row, so the rows
-    # count the steps spent against the budget.
-    while len(rows) <= max_steps:
+    # Every step, inside a window or out, adds one sample.
+    steps = 0
+    while steps < max_steps:
         if p * p < gate and x * p > 0.0:
             t_in = t
-            state = _traverse_pinch(field, t, x, p, dt, theta, rows,
-                                    max_steps + 1 - len(rows))
+            state = _traverse_pinch(field, c, t, x, p, dt, theta, samples,
+                                    max_steps - steps)
             if state is None:
                 break
-            t, x, p = state
+            t, x, p, taken = state
+            steps += taken
             windows.append((t_in, t))
             continue
         x_prev, p_prev = x, p
-        x, p = _rk4_t(field, x_prev, p_prev, dt)
+        x, p = _rk4_t(c, x_prev, p_prev, dt)
         t += dt
+        steps += 1
         if x_prev < 0.0 <= x:
-            tau, xs, ps = _crossing_time(field, x_prev, p_prev, dt)
+            tau, xs, ps = _crossing_time(c, x_prev, p_prev, dt)
             crossings.append((t - dt + tau, xs, ps))
             if len(crossings) >= needed:
                 t, x, p = crossings[-1][0], xs, ps
-        h_now = field.evaluate(x, p)
-        rows.append((t, x, p, h_now))
+        h_now = _energy(c, x, p)
+        samples.extend((t, x, p, h_now))
         if p * p >= gate:
             drift = max(drift, abs(h_now / e0 - 1.0))
         if len(crossings) >= needed:
@@ -280,6 +344,7 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
         period = (t_b - t_a) / periods
         closure = math.hypot(x_b - x_a, p_b - p_a)
 
-    return OrbitResult(epsilon=field.epsilon, mass=m, dt=dt, rows=rows,
-                       period=period, closure=closure, energy_drift=drift,
+    return OrbitResult(epsilon=field.epsilon, mass=m, dt=dt,
+                       rows=OrbitRows(samples), period=period,
+                       closure=closure, energy_drift=drift,
                        windows=tuple(windows))

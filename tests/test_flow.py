@@ -9,13 +9,15 @@ import hashlib
 import io
 import math
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qmetric.errors import EngineError
-from qmetric.flow import integrate_orbit
+from qmetric.flow import (_energy, _sextic_constants, _velocity,
+                          integrate_orbit)
 from qmetric.observables import (ClassicalHamiltonian, classical_limit,
                                  equivalent_hermitian)
 from qmetric.perturbation import MetricParams, derive_metric_series
@@ -39,13 +41,23 @@ def test_input_validation(hc):
     for steps in (0, -5):
         with pytest.raises(EngineError):
             integrate_orbit(hc, 0.1, max_steps=steps)
+    # a count that is not an int is rejected, not rounded or truncated
+    for bad in ({"periods": 2.5}, {"periods": True}, {"max_steps": 10.5},
+                {"max_steps": True}, {"max_steps": F(10)}):
+        with pytest.raises(EngineError):
+            integrate_orbit(hc, 0.1, dt=1e-2, **bad)
+    # outside 0 < theta < 1 the pinch window never opens or its
+    # denominator w^(2/3) - mE can reach zero
+    for theta in (0.0, -1.0, 1.0, 1.5, math.nan, math.inf):
+        with pytest.raises(EngineError):
+            integrate_orbit(hc, 0.1, dt=1e-2, theta=theta)
     for bad in ({"epsilon": math.nan}, {"dt": math.nan}, {"x0": math.inf},
                 {"p0": -math.inf}, {"p0": 1e200}):
         with pytest.raises(EngineError):
             integrate_orbit(hc, **{"epsilon": 0.1, **bad}, max_steps=1000)
 
 
-def test_rejects_foreign_hamiltonians(formal3):
+def test_rejects_foreign_hamiltonians(hc, formal3):
     # the third-order pipeline carries an extra eps^4 correction
     hc3 = classical_limit(equivalent_hermitian(formal3))
     with pytest.raises(EngineError):
@@ -53,6 +65,10 @@ def test_rejects_foreign_hamiltonians(formal3):
     skewed = ClassicalHamiltonian(mass=F(1), terms=((0, 0, 2, F(1, 2), -1),))
     with pytest.raises(EngineError):
         integrate_orbit(skewed, 0.1)
+    # a repeated term sums twice in H, so the shape is not the sextic one
+    doubled = ClassicalHamiltonian(mass=F(1), terms=hc.terms + hc.terms[:1])
+    with pytest.raises(EngineError):
+        integrate_orbit(doubled, 0.1)
 
 
 def test_free_motion_is_exact(hc):
@@ -199,3 +215,63 @@ def test_folded_terms_are_bit_identical(hc, x, p, eps, mass):
         else:
             assert got == want
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@given(finite, finite.filter(bool), st.floats(0.0, 1e300),
+       st.fractions(F(1, 1000), 1000), st.booleans())
+def test_closed_forms_match_the_generic_fold(hc, x, p, eps, mass, reverse):
+    # the generic fold sums in term order; the closed forms must not care
+    terms = hc.terms[::-1] if reverse else hc.terms
+    folded = _outcome(lambda: ClassicalHamiltonian(mass, terms).at(eps))
+    if folded is OverflowError:
+        return
+    c = _sextic_constants(folded)
+    # the stepper takes dH/dp and -dH/dx together, so they overflow together
+    pairs = ((lambda: (_energy(c, x, p),), lambda: (folded.evaluate(x, p),)),
+             (lambda: _velocity(c, x, p),
+              lambda: (folded.d_dp(x, p), -folded.d_dx(x, p))))
+    for closed, generic in pairs:
+        got, want = _outcome(closed), _outcome(generic)
+        if want is OverflowError:
+            assert got is OverflowError
+            continue
+        assert got is not OverflowError and len(got) == len(want)
+        for g, w in zip(got, want):
+            if math.isnan(w):
+                assert math.isnan(g)
+            else:
+                assert g == w
+                assert math.copysign(1.0, g) == math.copysign(1.0, w)
+
+
+def test_rows_view(hc):
+    rows = integrate_orbit(hc, 0.1, dt=1e-2).rows
+    n = len(rows)
+    assert n > 1
+    assert rows[-1] == rows[n - 1]
+    assert rows[-n] == rows[0]
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[past]
+    listed = list(rows)
+    assert len(listed) == n and listed[-1] == rows[-1]
+    assert all(type(r) is tuple and len(r) == 4 for r in listed)
+    assert all(type(v) is float for r in listed for v in r)
+
+
+def test_sample_memory_stays_flat(hc):
+    # a list of 4-tuples of boxed floats costs about 175 B per sample;
+    # the interleaved array costs 32 B plus its growth slack
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = integrate_orbit(hc, 0.1, dt=1e-2, periods=20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(out.rows) == 12_445
+    assert peak <= 48 * len(out.rows)
