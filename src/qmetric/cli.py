@@ -180,8 +180,7 @@ def _cmd_orbit(ns) -> int:
         raise ConfigError(f"--mass: {ns.mass!r} is not positive")
     qs = derive_metric_series(MetricParams.formal(2))
     hc = classical_limit(equivalent_hermitian(qs), mass=mass)
-    p0 = ns.init_p if ns.init_p is not None else None
-    orbit = integrate_orbit(hc, ns.epsilon, x0=ns.init_x, p0=p0, dt=ns.dt,
+    orbit = integrate_orbit(hc, ns.epsilon, x0=ns.init_x, p0=ns.init_p, dt=ns.dt,
                             periods=ns.periods, max_steps=ns.steps)
     if ns.out:
         with _open_out(ns.out) as fh:

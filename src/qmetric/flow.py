@@ -69,6 +69,8 @@ the run time for any finite input.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,13 +265,16 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
     `max_steps` bounds every RK4 step taken, inside pinch windows too.
     If the section is never reached within it (e.g. epsilon = 0, where
     the motion is free and unbounded), `period` and `closure` are None
-    and the rows simply record the integrated stretch.  `periods` and
-    `max_steps` must be ints of at least 1, and the window gate `theta`
-    must lie strictly between 0 and 1.
+    and the rows simply record the integrated stretch.  `epsilon`, `dt`,
+    `x0`, `p0` (or None) and `theta` must be finite reals (not bools),
+    `periods` and `max_steps` ints of at least 1, and 0 < `theta` < 1.
     """
     _require_sextic(hc)
-    for name, value in (("epsilon", epsilon), ("dt", dt), ("x0", x0), ("p0", p0)):
-        if value is not None and not math.isfinite(value):
+    for name, value in (("epsilon", epsilon), ("dt", dt), ("x0", x0), ("p0", p0), ("theta", theta)):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real or (name == "p0" and value is None)):
+            raise EngineError(f"{name} must be a real number, got {value!r}")
+        if real and not abs(value) <= sys.float_info.max:  # NaN, inf, past floats
             raise EngineError(f"{name} must be finite, got {value!r}")
     if epsilon < 0.0:
         raise EngineError("epsilon must be non-negative")

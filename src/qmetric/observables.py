@@ -4,9 +4,9 @@ classical limit.
 Conjugation by the metric square root is carried out order by order on
 formal power series of operators: e^{sQ/2} A e^{-sQ/2} =
 sum_k (s/2)^k/k! ad_Q^k(A), which terminates at each series order
-because Q starts at order one.  For the Hamiltonian's H0 half the
-nested commutators ad_Q^k(H0) = (-1)^k [..[H0, Q].., Q] are the ones the
-derivation already tabulated, so only eps H1 is conjugated term by term.
+because Q starts at order one.  The Hamiltonian needs no conjugation:
+by the defining relation it is sech(L/2) H0, L X = [X, Q], a sum over
+the nested commutators the derivation already tabulated.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .algebra import OperatorExpr, h0, h1, symmetric_form
+from .algebra import OperatorExpr, h0, symmetric_form
 from .errors import EngineError
-from .params import ParamPoly
 from .perturbation import QSeries, _extension
 from .rational import GaussianRational
 from .series import SeriesExpr, series_commutator
@@ -27,56 +25,50 @@ from .series import SeriesExpr, series_commutator
 def conjugate_by_sqrt_metric(a: SeriesExpr, q: SeriesExpr, sign: int = 1) -> SeriesExpr:
     """e^{sign*Q/2} A e^{-sign*Q/2} truncated to the order of `a`.
 
-    sign=+1 dresses a bare operator into its physical counterpart;
-    sign=-1 undresses (used for the Hamiltonian).
+    sign=+1 dresses a bare operator into its physical counterpart, -1 undresses.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    order = a.order
-    out = a
-    term = a
-    for k in range(1, order + 1):
+    out = term = a
+    for k in range(1, a.order + 1):
         term = series_commutator(q, term)
         coeff = GaussianRational(Fraction(sign ** k, 2 ** k * math.factorial(k)))
         out = out + term.scale(coeff)
     return out
 
 
-def _q_series(qs: QSeries, order: int) -> SeriesExpr:
-    data = {j: qs.q(j) for j in range(1, min(qs.params.order, order) + 1)}
-    return SeriesExpr(order, data)
-
-
 def observable_x(qs: QSeries) -> SeriesExpr:
     """Physical position through the derived order."""
-    n = qs.params.order
-    x = SeriesExpr.of(OperatorExpr.x_power(1), order=n)
-    return conjugate_by_sqrt_metric(x, _q_series(qs, n), sign=1)
+    x = SeriesExpr.of(OperatorExpr.x_power(1), order=qs.order)
+    return conjugate_by_sqrt_metric(x, qs.series(), sign=1)
 
 
 def observable_p(qs: QSeries) -> SeriesExpr:
     """Physical momentum through the derived order."""
-    n = qs.params.order
-    p = SeriesExpr.of(OperatorExpr.p_power(1), order=n)
-    return conjugate_by_sqrt_metric(p, _q_series(qs, n), sign=1)
+    p = SeriesExpr.of(OperatorExpr.p_power(1), order=qs.order)
+    return conjugate_by_sqrt_metric(p, qs.series(), sign=1)
+
+
+def _sech_coefficient(k: int) -> Fraction:
+    """Weight E_k / (2^k k!) of D[k] in sech(L/2) H0, E_k the Euler numbers."""
+    euler = [1]  # E_0, E_2, .. from sum_{j<=n} C(2n, 2j) E_2j = 0; odd E_k vanish
+    for n in range(1, k // 2 + 1):
+        euler.append(-sum(math.comb(2 * n, 2 * j) * e for j, e in enumerate(euler)))
+    return Fraction(0 if k % 2 else euler[-1], 2 ** k * math.factorial(k))
 
 
 def equivalent_hermitian(qs: QSeries) -> SeriesExpr:
     """Hermitian counterpart of H, one order beyond the derived metric.
 
-    h = e^{-Q/2} (H0 + eps H1) e^{Q/2}.  Its H0 half is
-    sum_k D[k] / (2^k k!), with D[k] the k-fold commutators
-    [..[H0, Q].., Q] from the derivation's table; the eps H1 half goes
-    through ``conjugate_by_sqrt_metric``.  The order-(N+1) coefficient
-    involves Q_{N+1} only through D[1][N+1] = [H0, Q_{N+1}] = R_{N+1},
-    which Q_1..Q_N fully determine; the extension is solved internally
-    with zero free parameters, which checks that R_{N+1} has a solution.
+    With L X = [X, Q] and D[k] = L^k H0 = [..[H0, Q].., Q] (k-fold), the
+    defining relation e^{L}(H0 + eps H1) = H0 - eps H1 gives
+    eps H1 = -tanh(L/2) H0, so h = e^{-Q/2} H e^{Q/2} = sech(L/2) H0 =
+    sum_{k even} E_k / (2^k k!) D[k], E_k the Euler numbers.  That needs
+    [H0, Q_m] = R_m, which a hand-built series is checked for.  Q_{N+1}
+    is solved with zero free parameters, which checks that R_{N+1} has a
+    solution; h must vanish at first order and be Hermitian throughout.
     """
-    n = qs.params.order
-    _, bare = _extension(qs, lambda k: Fraction(1, 2 ** k * math.factorial(k)))
-    bare[0] = h0()
-    h = SeriesExpr(n + 1, bare) + conjugate_by_sqrt_metric(
-        SeriesExpr.of(h1(), 1, order=n + 1), _q_series(qs, n + 1), sign=-1)
+    h = SeriesExpr(qs.order + 1, {0: h0(), **_extension(qs, _sech_coefficient)[1]})
     if not h.coeff(1).is_zero():
         raise EngineError("first-order term of the dressed Hamiltonian must vanish")
     for j in range(h.order + 1):

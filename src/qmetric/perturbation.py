@@ -169,6 +169,13 @@ class _NestedCommutators:
                 sums = [acc + d.scale(c) if c else acc for acc, c in zip(sums, cs)]
         return sums, entries
 
+    def check_relation(self):
+        """Raise at the first m with D[1][m] = [H0, Q_m] != R_m from this table."""
+        for m, col in enumerate(self.cols, start=1):
+            terms = (d.scale(q_coefficient(k)) for k, d in enumerate(col[1:], start=2) if k % 2)
+            if col[0] != (h1().scale(-2) if m == 1 else sum(terms, OperatorExpr.zero())):
+                raise EngineError(f"order {m}: [H0, Q_m] differs from R_m")
+
 
 def _source(j, table, h1_op, weight, coeffs=(), keep=False):
     """(R_j, checked; the column's sums for `coeffs`; its entries if `keep`)."""
@@ -350,9 +357,8 @@ class QSeries:
     def q(self, j: int) -> OperatorExpr:
         return self.record(j).q
 
-    def series(self, order: int | None = None) -> SeriesExpr:
-        n = self.order if order is None else order
-        return SeriesExpr(n, {rec.j: rec.q for rec in self.orders if rec.j <= n})
+    def series(self) -> SeriesExpr:
+        return SeriesExpr(self.order, {rec.j: rec.q for rec in self.orders})
 
     def q_list(self) -> list[OperatorExpr]:
         return [rec.q for rec in self.orders]
@@ -384,7 +390,7 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
 def _extension(qs, coeff=None):
     """(canonical particular Q_{N+1}, {m: sum_k coeff(k) D[k][m] for m = 1..N+1}
     or {} without `coeff`).  Completes column N of the series' table, then
-    streams column N+1 into R_{N+1} and the sum."""
+    streams column N+1 into R_{N+1} and the sum (see ``check_relation``)."""
     n, j = qs.order, qs.order + 1
     if qs._table is None:
         table = _NestedCommutators.of(j, qs.q_list())
@@ -394,9 +400,11 @@ def _extension(qs, coeff=None):
     stripped = strip_x_free(solve_commutator_equation(r), j, qs.weight)[0]
     if coeff is None:
         return stripped, {}
-    by_order = {m: sum((d.scale(coeff(k)) for k, d in enumerate(col, start=1)),
+    if qs._table is None:
+        table.check_relation()
+    by_order = {m: sum((d.scale(c) for k, d in enumerate(col, start=1) if (c := coeff(k))),
                        OperatorExpr.zero()) for m, col in enumerate(table.cols, start=1)}
-    by_order[j] = r.scale(coeff(1)) + sums[0]
+    by_order[j] = r.scale(coeff(1)) + sums[0] if coeff(1) else sums[0]
     return stripped, by_order
 
 

@@ -90,9 +90,6 @@ class SeriesExpr:
     def adjoint(self) -> "SeriesExpr":
         return SeriesExpr(self._order, {j: e.adjoint() for j, e in self._c.items()})
 
-    def substitute(self, values: Mapping[str, object]) -> "SeriesExpr":
-        return SeriesExpr(self._order, {j: e.substitute(values) for j, e in self._c.items()})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesExpr):
             return NotImplemented

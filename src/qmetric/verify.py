@@ -25,7 +25,6 @@ from fractions import Fraction
 from . import reference as ref
 from .algebra import (OperatorExpr, commutator, from_symmetric_form, h0, h1,
                       scaling_degree)
-from .errors import EngineError
 from .freeparticle import (ParityLinear, free_metric, localized_overlap,
                            momentum_observable, position_observable)
 from .kernels import apply_wave_operator, is_hermitian_kernel, to_kernel

@@ -52,7 +52,14 @@ def test_input_validation(hc):
         with pytest.raises(EngineError):
             integrate_orbit(hc, 0.1, dt=1e-2, theta=theta)
     for bad in ({"epsilon": math.nan}, {"dt": math.nan}, {"x0": math.inf},
-                {"p0": -math.inf}, {"p0": 1e200}):
+                {"p0": -math.inf}, {"p0": 1e200}, {"p0": 10 ** 400},
+                {"x0": F(10 ** 400)}):
+        with pytest.raises(EngineError):
+            integrate_orbit(hc, **{"epsilon": 0.1, **bad}, max_steps=1000)
+    # a value that is not a real number, or is a bool, is not coerced
+    for bad in ({"x0": "0"}, {"x0": 1j}, {"theta": "0.4"}, {"dt": None},
+                {"epsilon": "0.1"}, {"epsilon": None}, {"p0": "1"}, {"p0": True},
+                {"x0": False}, {"dt": True}, {"epsilon": True}, {"theta": True}):
         with pytest.raises(EngineError):
             integrate_orbit(hc, **{"epsilon": 0.1, **bad}, max_steps=1000)
 

@@ -21,8 +21,9 @@ import random
 
 import pytest
 
-from qmetric.observables import observable_p, observable_x
-from qmetric.perturbation import MetricParams, derive_metric_series
+from qmetric.observables import equivalent_hermitian, observable_p, observable_x
+from qmetric.perturbation import (MetricParams, derive_metric_series,
+                                  extend_one_order)
 
 M = (1 << 61) - 1
 I_UNIT = (0, 1)
@@ -228,3 +229,19 @@ def test_dressed_canonical_commutator_through_order_6():
     for bare, dressed in (({(1, 0, 0): (1, 0)}, xs), ({(0, 1, 0): (1, 0)}, ps)):
         bare_series = [bare] + [{}] * n
         assert series_mul(series_mul(up, bare_series), down) == dressed
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_equivalent_hermitian_through_order(n):
+    # h = e^{-Q/2} (H0 + eps H1) e^{Q/2} through eps^(n+1), with Q_{n+1}
+    # the engine's zero-parameter extension and both exponentials summed
+    # here from powers of Q.
+    qs = derive_metric_series(MetricParams.formal(n))
+    point = Point(4)
+    half = (residue(1, 2), 0)
+    raws = [q.raw for q in qs.q_list()] + [extend_one_order(qs).raw]
+    down = series_exp([op_scale(t, half) for t in q_series(raws, point, -1)])
+    up = series_exp([op_scale(t, half) for t in q_series(raws, point)])
+    want = series_mul(series_mul(down, hamiltonian(n + 1)), up)
+    h = equivalent_hermitian(qs)
+    assert [reduce_expr(h.coeff(j).raw, point) for j in range(n + 2)] == want

@@ -2,6 +2,7 @@
 classical limit."""
 
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,12 +11,12 @@ from qmetric import reference as ref
 from qmetric.algebra import (OperatorExpr, commutator, from_symmetric_form,
                              h0, h1)
 from qmetric.errors import EngineError
-from qmetric.observables import (classical_limit, conjugate_by_sqrt_metric,
-                                 equivalent_hermitian, observable_p,
-                                 observable_x)
+from qmetric.observables import (_sech_coefficient, classical_limit,
+                                 conjugate_by_sqrt_metric, equivalent_hermitian,
+                                 observable_p, observable_x)
 from qmetric.params import ParamPoly
 from qmetric.perturbation import (MetricParams, QSeries, derive_metric_series,
-                                  extend_one_order)
+                                  extend_one_order, q_coefficient)
 from qmetric.rational import GaussianRational
 from qmetric.series import SeriesExpr, series_commutator
 
@@ -92,6 +93,32 @@ def test_hermitian_hamiltonian(formal3):
         assert h.coeff(j).is_hermitian()
 
 
+DEGREE = 12
+
+
+def power_product(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(DEGREE + 1)]
+
+
+def test_sech_and_tanh_coefficients():
+    # As power series in y through y^12: sech y from the weights of D[k]
+    # (y = L/2), and tanh y = sinh y sech y.
+    exp_plus = [F(1, math.factorial(k)) for k in range(DEGREE + 1)]
+    exp_minus = [c * (-1) ** k for k, c in enumerate(exp_plus)]
+    cosh = [(a + b) / 2 for a, b in zip(exp_plus, exp_minus)]
+    sinh = [(a - b) / 2 for a, b in zip(exp_plus, exp_minus)]
+    sech = [_sech_coefficient(k) * 2 ** k for k in range(DEGREE + 1)]
+    assert sech[:7] == [1, 0, F(-1, 2), 0, F(5, 24), 0, F(-61, 720)]
+    assert power_product(sech, cosh) == [1] + [0] * DEGREE
+    tanh = power_product(sinh, sech)
+    one_plus_tanh = [1 + tanh[0]] + tanh[1:]
+    assert power_product(exp_minus, one_plus_tanh) == sech
+    # D[1][j] = R_j = sum_k q_k D[k][j] is eps H1 = -tanh(L/2) H0 solved
+    # for its k = 1 term: q_k = -2 tanh_k / 2^k (and R_1 = -2 H1).
+    for k in range(1, DEGREE + 1):
+        assert q_coefficient(k) == -2 * tanh[k] / 2 ** k, k
+
+
 def test_hermitian_hamiltonian_undresses_back(formal3):
     # e^{Q/2} h e^{-Q/2} reproduces H through the derived order
     h = equivalent_hermitian(formal3)
@@ -141,10 +168,10 @@ def outcome(fn, qs):
         return str(exc)
 
 
-def tampered(qs, index):
-    """qs with Q at `index` shifted by x, its records otherwise kept."""
+def tampered(qs, index, shift=OperatorExpr.x_power(1)):
+    """qs with Q at `index` shifted by `shift`, its records otherwise kept."""
     orders = list(qs.orders)
-    orders[index] = dataclasses.replace(orders[index], q=orders[index].q + OperatorExpr.x_power(1))
+    orders[index] = dataclasses.replace(orders[index], q=orders[index].q + shift)
     return QSeries(qs.params, qs.weight, orders)
 
 
@@ -152,8 +179,34 @@ def tampered(qs, index):
 def test_tampered_series_reads_its_own_records(formal3, index):
     bad = tampered(formal3, index)
     got = outcome(equivalent_hermitian, bad)
-    assert got == outcome(conjugated_hamiltonian, bad)
+    if index == 0:
+        assert got == outcome(conjugated_hamiltonian, bad)
+    else:
+        # The former formula found h not Hermitian at order 3; the
+        # relation check now names the order whose Q was shifted.
+        with pytest.raises(EngineError):
+            conjugated_hamiltonian(bad)
+        with pytest.raises(EngineError, match="^order 3: "):
+            equivalent_hermitian(bad)
     assert got != equivalent_hermitian(formal3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_relation_check_names_the_broken_order(formal3, m):
+    # A Hermitian shift of Q_m's own scaling degree that does not commute
+    # with H0 passes the extension's degree checks (a shift by x at m = 1
+    # or 2 is stopped there, at order 4), so only [H0, Q_m] = R_m sees it.
+    x, pb = OperatorExpr.x_power(1), OperatorExpr.p_power(1 - 5 * m)
+    bad = tampered(formal3, m - 1, x * pb + pb * x)
+    with pytest.raises(EngineError):
+        conjugated_hamiltonian(bad)
+    with pytest.raises(EngineError, match=f"^order {m}: "):
+        equivalent_hermitian(bad)
+    extend_one_order(bad)  # the extension alone does not need the relation
+    with pytest.raises(EngineError, match=f"^order {3 if m == 3 else 4}: "):
+        equivalent_hermitian(tampered(formal3, m - 1))
+    rebuilt = QSeries(formal3.params, formal3.weight, formal3.orders)
+    assert equivalent_hermitian(rebuilt) == equivalent_hermitian(formal3)
 
 
 # -- classical limit --------------------------------------------------------------
