@@ -28,6 +28,16 @@ every term is accumulated with plain int adds; each surviving output
 coefficient is then reduced once, by q_make over the product of the two
 denominators, and zero sums are dropped.  The output is in the same
 canonical form as every other scalar above.
+
+Inside one expr_mul or expr_commutator call, every exponent vector gets
+a small-int id: one id space per operand and one for the products, whose
+id is memoized per (id1, id2) pair, so ev_mul runs once per distinct
+pair and the accumulators hash ints.  A monomial pair (a1, b1, e1),
+(a2, b2, e2) feeds only outputs x^(a1+a2-k) p^(b1+b2-k) P^(e1^e2), which
+share b - a and the parity: the accumulator is one row per (b - a,
+parity), a list indexed by x-power whose slots map product ids to
+integer numerators.  Output keys come out in order of first use, the
+order a single dict keyed by (a, b, e) would give.
 """
 
 from math import gcd
@@ -239,36 +249,68 @@ def _commutator_weights(a1, b1, e1, a2, b2, e2):
     return out
 
 
+def _interned(p, den, ids):
+    """Poly p as [(ev, id, re, im)] over den, each new ev given the next id."""
+    return [(ev, ids.setdefault(ev, len(ids)), c[0] * (den // c[1]), c[2] * (den // c[3]))
+            for ev, c in p.items()]
+
+
 def _int_kernel(t1, t2, weights):
     """sum over monomial pairs of weights(m1, m2) times the poly product,
     accumulated in integers and reduced once per output coefficient."""
     d1, d2 = _common_den(t1.values()), _common_den(t2.values())
-    n2 = [(k, _to_int(p, d2)) for k, p in t2.items()]
-    acc = {}
-    for (a1, b1, e1), p1 in t1.items():
-        p1 = _to_int(p1, d1)
-        for (a2, b2, e2), p2 in n2:
-            pc = None
-            for k, n in weights(a1, b1, e1, a2, b2, e2):
-                if pc is None:
-                    pc = _int_poly_mul(p1, p2)
+    ids1, ids2, pids = {}, {}, {}
+    n1 = [(a, b, e, _interned(p, d1, ids1)) for (a, b, e), p in t1.items()]
+    n2 = [(a, b, e, _interned(p, d2, ids2)) for (a, b, e), p in t2.items()]
+    if not (n1 and n2):
+        return {}
+    stride = len(ids2)
+    memo = [None] * (len(ids1) * stride)  # id1 * stride + id2 -> product's id
+    width = max(t[0] for t in n1) + max(t[0] for t in n2) + 1
+    rows = {}   # 2 (b - a) + parity -> [slot or None] indexed by x-power
+    order = []  # (output key, slot) in order of first use
+    for a1, b1, e1, p1 in n1:
+        for a2, b2, e2, p2 in n2:
+            ws = weights(a1, b1, e1, a2, b2, e2)
+            if not ws:
+                continue
+            pc = {}
+            for ev1, i1, r1, m1 in p1:
+                i1 *= stride
+                for ev2, i2, r2, m2 in p2:
+                    pid = memo[i1 + i2]
+                    if pid is None:
+                        pid = memo[i1 + i2] = pids.setdefault(ev_mul(ev1, ev2), len(pids))
+                    old = pc.get(pid, _INT_ZERO)
+                    pc[pid] = (old[0] + r1 * r2 - m1 * m2, old[1] + r1 * m2 + m1 * r2)
+            pc = pc.items()
+            a, b, e = a1 + a2, b1 + b2, e1 ^ e2
+            rk = 2 * (b - a) + e
+            row = rows.get(rk)
+            if row is None:
+                row = rows[rk] = [None] * width
+            for k, n in ws:
+                slot = row[a - k]
+                if slot is None:
+                    slot = row[a - k] = {}
+                    order.append(((a - k, b - k, e), slot))
                 # n * (-i)^k: real for even k, imaginary for odd k.
                 if k & 2:
                     n = -n
-                poly = acc.setdefault((a1 + a2 - k, b1 + b2 - k, e1 ^ e2), {})
-                get = poly.get
+                get = slot.get
                 if k & 1:
-                    for ev, (re, im) in pc.items():
-                        old = get(ev, _INT_ZERO)
-                        poly[ev] = (old[0] + n * im, old[1] - n * re)
+                    for pid, (re, im) in pc:
+                        old = get(pid, _INT_ZERO)
+                        slot[pid] = (old[0] + n * im, old[1] - n * re)
                 else:
-                    for ev, (re, im) in pc.items():
-                        old = get(ev, _INT_ZERO)
-                        poly[ev] = (old[0] + n * re, old[1] + n * im)
+                    for pid, (re, im) in pc:
+                        old = get(pid, _INT_ZERO)
+                        slot[pid] = (old[0] + n * re, old[1] + n * im)
     den = d1 * d2
+    evs = list(pids)
     out = {}
-    for key, poly in acc.items():
-        poly = _reduce(poly, den)
+    for key, slot in order:
+        poly = {evs[pid]: q_make(re, den, im, den) for pid, (re, im) in slot.items() if re or im}
         if poly:
             out[key] = poly
     return out

@@ -169,11 +169,12 @@ class _NestedCommutators:
                 sums = [acc + d.scale(c) if c else acc for acc, c in zip(sums, cs)]
         return sums, entries
 
-    def check_relation(self):
-        """Raise at the first m with D[1][m] = [H0, Q_m] != R_m from this table."""
+    def check_relation(self, h1_op):
+        """Raise at the first m with D[1][m] = [H0, Q_m] != R_m from this
+        table, R_1 = -2 h1_op."""
         for m, col in enumerate(self.cols, start=1):
             terms = (d.scale(q_coefficient(k)) for k, d in enumerate(col[1:], start=2) if k % 2)
-            if col[0] != (h1().scale(-2) if m == 1 else sum(terms, OperatorExpr.zero())):
+            if col[0] != (h1_op.scale(-2) if m == 1 else sum(terms, OperatorExpr.zero())):
                 raise EngineError(f"order {m}: [H0, Q_m] differs from R_m")
 
 
@@ -332,17 +333,20 @@ class OrderRecord:
 class QSeries:
     """Per-order records of the generator plus the assembled series.
 
-    ``derive_metric_series`` attaches its nested-commutator table
-    (columns 1..N-1); a series built by hand has none, and the next
-    order is then computed from its own records.
+    ``h1_op`` is the perturbation H1 the series solves for, the paper's
+    i x^3 unless given.  ``derive_metric_series`` attaches its
+    nested-commutator table (columns 1..N-1); a series built by hand has
+    none, and the next order is then computed from its own records.
     """
 
-    __slots__ = ("params", "weight", "orders", "_table")
+    __slots__ = ("params", "weight", "orders", "h1_op", "_table")
 
-    def __init__(self, params: MetricParams, weight: int, orders: Sequence[OrderRecord]):
+    def __init__(self, params: MetricParams, weight: int, orders: Sequence[OrderRecord],
+                 h1_op: OperatorExpr | None = None):
         self.params = params
         self.weight = weight
         self.orders = tuple(orders)
+        self.h1_op = h1() if h1_op is None else h1_op
         self._table = None
 
     @property
@@ -382,7 +386,7 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
         records.append(OrderRecord(j, r, stripped, hom, q))
         if keep:
             table = table.add(q, r, entries)
-    qs = QSeries(params, weight, records)
+    qs = QSeries(params, weight, records, h1_op)
     qs._table = table
     return qs
 
@@ -401,7 +405,7 @@ def _extension(qs, coeff=None):
     if coeff is None:
         return stripped, {}
     if qs._table is None:
-        table.check_relation()
+        table.check_relation(qs.h1_op)
     by_order = {m: sum((d.scale(c) for k, d in enumerate(col, start=1) if (c := coeff(k))),
                        OperatorExpr.zero()) for m, col in enumerate(table.cols, start=1)}
     by_order[j] = r.scale(coeff(1)) + sums[0] if coeff(1) else sums[0]

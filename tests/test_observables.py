@@ -209,6 +209,22 @@ def test_relation_check_names_the_broken_order(formal3, m):
     assert equivalent_hermitian(rebuilt) == equivalent_hermitian(formal3)
 
 
+def test_series_records_its_perturbation(formal3):
+    assert formal3.h1_op == h1()
+    h1_op = h1().scale(3)
+    qs = derive_metric_series(MetricParams.formal(3), h1_op=h1_op)
+    assert qs.h1_op == h1_op
+    h = equivalent_hermitian(qs)
+    q = SeriesExpr(3, {j: qs.q(j) for j in (1, 2, 3)})
+    truncated = SeriesExpr(3, {j: h.coeff(j) for j in range(4)})
+    assert conjugate_by_sqrt_metric(truncated, q, sign=1) == SeriesExpr(
+        3, {0: h0(), 1: h1_op})
+    # a hand-built copy is checked against the H1 it is given
+    assert equivalent_hermitian(QSeries(qs.params, qs.weight, qs.orders, h1_op)) == h
+    with pytest.raises(EngineError, match="^order 1: "):
+        equivalent_hermitian(QSeries(qs.params, qs.weight, qs.orders))
+
+
 # -- classical limit --------------------------------------------------------------
 
 def test_classical_hamiltonian_second_order():
