@@ -21,13 +21,23 @@ P x = -x P,  P p = -p P,  P^2 = 1.
 
 Products run on integers (the layout of FLINT's fmpq_poly).  poly_mul,
 expr_mul and expr_commutator convert each operand once per call to
-Gaussian-integer numerators (re, im) over one denominator, the lcm of
-the operand's denominators.  The parameter-polynomial products and the
-normal-ordering weights C(a,k) ff(b,k) (-i)^k are exact integers, so
-every term is accumulated with plain int adds; each surviving output
-coefficient is then reduced once, by q_make over the product of the two
-denominators, and zero sums are dropped.  The output is in the same
-canonical form as every other scalar above.
+integer numerators over one denominator, the lcm of the operand's
+denominators; every term is accumulated with plain int adds, each
+surviving output coefficient is then reduced once, by q_make over the
+product of the two denominators, and zero sums are dropped.  The output
+is in the same canonical form as every other scalar above.
+
+expr_mul and expr_commutator work in the rotated frame x = i y, in which
+[y, p] = 1 and the cubic i eps x^3 is the real eps y^3.  On entry the
+coefficient c of x^a is carried as c i^(-a), and each of its nonzero
+parts becomes one entry (id, phase, v) meaning v i^phase: phase 0 for a
+real part, 1 for an imaginary one.  A PT-graded coefficient (every
+coefficient of a formal derivation) is one entry; a numeric odd-order
+kappa_j can give both, and both go through the same loop.  Two entries
+multiply to v1 v2 with phase ph1 ^ ph2, negated when both phases are 1.
+Since (-i)^k i^k = 1, the normal-ordering weights C(a,k) ff(b,k) become
+plain integers, applied to each entry with one multiply-add.  On output
+each coefficient is rotated back by i^a of its own x-power.
 
 Inside one expr_mul or expr_commutator call, every exponent vector gets
 a small-int id: one id space per operand and one for the products, whose
@@ -35,8 +45,8 @@ id is memoized per (id1, id2) pair, so ev_mul runs once per distinct
 pair and the accumulators hash ints.  A monomial pair (a1, b1, e1),
 (a2, b2, e2) feeds only outputs x^(a1+a2-k) p^(b1+b2-k) P^(e1^e2), which
 share b - a and the parity: the accumulator is one row per (b - a,
-parity), a list indexed by x-power whose slots map product ids to
-integer numerators.  Output keys come out in order of first use, the
+parity), a list indexed by x-power whose slots map 2 * product id + phase
+to an integer numerator.  Output keys come out in order of first use, the
 order a single dict keyed by (a, b, e) would give.
 """
 
@@ -249,10 +259,33 @@ def _commutator_weights(a1, b1, e1, a2, b2, e2):
     return out
 
 
-def _interned(p, den, ids):
-    """Poly p as [(ev, id, re, im)] over den, each new ev given the next id."""
-    return [(ev, ids.setdefault(ev, len(ids)), c[0] * (den // c[1]), c[2] * (den // c[3]))
-            for ev, c in p.items()]
+def _turn(re, im, t):
+    """(re + im i) i^t as a pair, for t in 0..3."""
+    if t == 1:
+        return -im, re
+    if t == 2:
+        return -re, -im
+    if t == 3:
+        return im, -re
+    return re, im
+
+
+def _entries(a, p, den, ids):
+    """Poly p, the coefficient of x^a, as [(ev, id, phase, v)] over den.
+
+    The coefficient is carried as c i^(-a) (the y = -i x frame), and each
+    nonzero part becomes one entry: v i^phase, phase 0 or 1.  Each new ev
+    is given the next id.
+    """
+    out = []
+    for ev, c in p.items():
+        i = ids.setdefault(ev, len(ids))
+        re, im = _turn(c[0] * (den // c[1]), c[2] * (den // c[3]), -a & 3)
+        if re:
+            out.append((ev, i, 0, re))
+        if im:
+            out.append((ev, i, 1, im))
+    return out
 
 
 def _int_kernel(t1, t2, weights):
@@ -260,12 +293,17 @@ def _int_kernel(t1, t2, weights):
     accumulated in integers and reduced once per output coefficient."""
     d1, d2 = _common_den(t1.values()), _common_den(t2.values())
     ids1, ids2, pids = {}, {}, {}
-    n1 = [(a, b, e, _interned(p, d1, ids1)) for (a, b, e), p in t1.items()]
-    n2 = [(a, b, e, _interned(p, d2, ids2)) for (a, b, e), p in t2.items()]
+    n1 = [(a, b, e, _entries(a, p, d1, ids1)) for (a, b, e), p in t1.items()]
+    n2 = []
+    for (a, b, e), p in t2.items():
+        plain = _entries(a, p, d2, ids2)
+        # The same entries times i, paired with phase-1 entries of t1.
+        turned = [(ev, i, ph ^ 1, -v if ph else v) for ev, i, ph, v in plain]
+        n2.append((a, b, e, (plain, turned)))
     if not (n1 and n2):
         return {}
     stride = len(ids2)
-    memo = [None] * (len(ids1) * stride)  # id1 * stride + id2 -> product's id
+    memo = [None] * (len(ids1) * stride)  # id1 * stride + id2 -> 2 * product's id
     width = max(t[0] for t in n1) + max(t[0] for t in n2) + 1
     rows = {}   # 2 (b - a) + parity -> [slot or None] indexed by x-power
     order = []  # (output key, slot) in order of first use
@@ -274,43 +312,51 @@ def _int_kernel(t1, t2, weights):
             ws = weights(a1, b1, e1, a2, b2, e2)
             if not ws:
                 continue
-            pc = {}
-            for ev1, i1, r1, m1 in p1:
+            pc = {}  # 2 * product id + phase -> integer numerator
+            get = pc.get
+            for ev1, i1, ph1, v1 in p1:
                 i1 *= stride
-                for ev2, i2, r2, m2 in p2:
-                    pid = memo[i1 + i2]
-                    if pid is None:
-                        pid = memo[i1 + i2] = pids.setdefault(ev_mul(ev1, ev2), len(pids))
-                    old = pc.get(pid, _INT_ZERO)
-                    pc[pid] = (old[0] + r1 * r2 - m1 * m2, old[1] + r1 * m2 + m1 * r2)
+                for ev2, i2, ph, v2 in p2[ph1]:
+                    base = memo[i1 + i2]
+                    if base is None:
+                        base = memo[i1 + i2] = 2 * pids.setdefault(ev_mul(ev1, ev2), len(pids))
+                    key = base + ph
+                    pc[key] = get(key, 0) + v1 * v2
             pc = pc.items()
             a, b, e = a1 + a2, b1 + b2, e1 ^ e2
             rk = 2 * (b - a) + e
             row = rows.get(rk)
             if row is None:
                 row = rows[rk] = [None] * width
+            # In the rotated frame the (-i)^k of the normal-ordering rule
+            # cancels against i^k, so the weights n are plain integers.
             for k, n in ws:
                 slot = row[a - k]
                 if slot is None:
                     slot = row[a - k] = {}
                     order.append(((a - k, b - k, e), slot))
-                # n * (-i)^k: real for even k, imaginary for odd k.
-                if k & 2:
-                    n = -n
                 get = slot.get
-                if k & 1:
-                    for pid, (re, im) in pc:
-                        old = get(pid, _INT_ZERO)
-                        slot[pid] = (old[0] + n * im, old[1] - n * re)
-                else:
-                    for pid, (re, im) in pc:
-                        old = get(pid, _INT_ZERO)
-                        slot[pid] = (old[0] + n * re, old[1] + n * im)
+                for key, v in pc:
+                    slot[key] = get(key, 0) + n * v
     den = d1 * d2
     evs = list(pids)
     out = {}
     for key, slot in order:
-        poly = {evs[pid]: q_make(re, den, im, den) for pid, (re, im) in slot.items() if re or im}
+        get = slot.get
+        t = key[0] & 3  # back to the x frame: times i^a
+        poly = {}
+        # A product id keeps the place of whichever of its two parts came
+        # first; when both are present the second one is skipped.
+        for k, v in slot.items():
+            w = get(k ^ 1)
+            if w is None:
+                w = 0
+            elif evs[k >> 1] in poly:
+                continue
+            re, im = (w, v) if k & 1 else (v, w)
+            if re or im:
+                re, im = _turn(re, im, t)
+                poly[evs[k >> 1]] = q_make(re, den, im, den)
         if poly:
             out[key] = poly
     return out

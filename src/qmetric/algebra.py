@@ -161,7 +161,7 @@ class OperatorExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return OperatorExpr.from_raw(_b.expr_scale(self._t, (-1, 1, 0, 1)))
+        return OperatorExpr.from_raw({k: _b.poly_neg(p) for k, p in self._t.items()})
 
     def __sub__(self, other):
         other = _coerce_expr(other)
@@ -222,7 +222,7 @@ class OperatorExpr:
         return self == self.adjoint()
 
     def is_antihermitian(self) -> bool:
-        return (self + self.adjoint()).is_zero()
+        return self.adjoint() == -self
 
     def hermitian_part(self) -> "OperatorExpr":
         return (self + self.adjoint()).scale(Fraction(1, 2))

@@ -218,6 +218,11 @@ def solve_commutator_equation(r: OperatorExpr) -> OperatorExpr:
     """
     if not r.is_antihermitian():
         raise EngineError("solve_commutator_equation requires an anti-Hermitian input")
+    return _solve(r)
+
+
+def _solve(r: OperatorExpr) -> OperatorExpr:
+    """The solver's body, for an R already checked to be anti-Hermitian."""
     work: dict[tuple[int, int, int], ParamPoly] = {
         m.key: c for m, c in r.terms()
     }
@@ -377,7 +382,7 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
         keep = j < params.order
         try:
             r, _, entries = _source(j, table, h1_op, weight, keep=keep)
-            particular = solve_commutator_equation(r)
+            particular = _solve(r)
             stripped, hom, q = _canonical_parts(j, particular, params, weight)
         except EngineError:
             raise
@@ -401,7 +406,7 @@ def _extension(qs, coeff=None):
     else:
         table = qs._table.add(qs.q(n), qs.record(n).r, qs._table.column(n, (), True)[1])
     r, sums, _ = _source(j, table, None, qs.weight, () if coeff is None else (coeff,))
-    stripped = strip_x_free(solve_commutator_equation(r), j, qs.weight)[0]
+    stripped = strip_x_free(_solve(r), j, qs.weight)[0]
     if coeff is None:
         return stripped, {}
     if qs._table is None:

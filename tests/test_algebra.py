@@ -68,6 +68,26 @@ def test_adjoint_is_an_antiinvolution(a, b):
     assert (a * a.adjoint()).is_hermitian()
 
 
+@given(exprs())
+def test_antihermitian_check_and_negation(a):
+    # is_antihermitian compares A+ with -A; the verdict must be that of
+    # the sum A + A+, and -A must equal the scaled copy, reduced alike.
+    assert a.is_antihermitian() == (a + a.adjoint()).is_zero()
+    assert (a - a.adjoint()).is_antihermitian()
+    assert (-a).raw == a.scale(-1).raw
+
+
+def test_antihermitian_examples():
+    i = GaussianRational(0, 1)
+    x, p = OperatorExpr.x_power(1), OperatorExpr.p_power(1)
+    cases = ((x.scale(i), True), ((x * p + p * x).scale(i), True), (h1(), True),
+             (OperatorExpr.zero(), True), (x * p, False), (h0(), False),
+             ((x * p).scale(i), False))
+    for expr, anti in cases:
+        assert expr.is_antihermitian() is anti, expr
+        assert (expr + expr.adjoint()).is_zero() is anti, expr
+
+
 @given(exprs(), exprs(), exprs())
 def test_commutator_identities(a, b, c):
     assert commutator(a, b) == -(commutator(b, a))

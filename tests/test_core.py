@@ -4,6 +4,7 @@ Fraction pairs, plus the kernel identities and the grouped adjoint."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmetric import _core_py as core
@@ -209,6 +210,26 @@ def test_commutator_with_own_multiple_vanishes(a, f):
     # coefficient must cancel exactly, whatever the denominators.
     fa = {k: core.poly_mul(p, f) for k, p in a.items()}
     assert core.expr_commutator(a, {k: p for k, p in fa.items() if p}) == {}
+
+
+# Both parts nonzero, so every phase pair (real or imaginary times real
+# or imaginary) meets the rotation by i^(-a) at every residue of a mod 4.
+BOTH = {((0, 1),): (3, 5, -2, 7), (): (-1, 2, 5, 3)}
+ONE_PART = {((1, 2),): (0, 1, 4, 11), ((0, 1), (1, 1)): (-7, 4, 0, 1)}
+
+
+@pytest.mark.parametrize("r1", range(4))
+@pytest.mark.parametrize("r2", range(4))
+def test_rotation_residues_match_reference(r1, r2):
+    a = {(r1, -3, 0): BOTH, (r1 + 4, 2, 1): ONE_PART, (r1 + 1, 1, 0): BOTH}
+    b = {(r2, 1, 1): BOTH, (r2 + 4, -2, 0): BOTH, (r2 + 2, 0, 0): ONE_PART}
+    for t1, t2 in ((a, b), (b, a)):
+        got = core.expr_mul(t1, t2)
+        assert got == ref_mul(t1, t2)
+        assert_canonical(got)
+        got = core.expr_commutator(t1, t2)
+        assert got == ref_commutator(t1, t2)
+        assert_canonical(got)
 
 
 def _minus(t1, t2):

@@ -229,6 +229,20 @@ def test_tampered_series_extends_from_its_own_records(formal3, index):
     assert outcomes[0] == outcomes[1]
 
 
+def test_corrupted_lower_order_fails_the_source_check(formal3):
+    # The solver's own anti-Hermiticity check is not run on the derive and
+    # extension path, so the source check must catch a non-Hermitian Q_1.
+    orders = list(formal3.orders)
+    shift = OperatorExpr.x_power(1).scale(GaussianRational(0, 1))
+    orders[0] = dataclasses.replace(orders[0], q=orders[0].q + shift)
+    bad = QSeries(formal3.params, formal3.weight, orders)
+    message = "order 4: R_j is not anti-Hermitian"
+    with pytest.raises(EngineError, match=message):
+        build_r(4, bad.q_list())
+    with pytest.raises(EngineError, match=message):
+        extend_one_order(bad)
+
+
 def test_recorded_sources_match_standalone_build_r():
     qs = derive_metric_series(MetricParams.formal(6))
     prior = qs.q_list()
