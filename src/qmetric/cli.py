@@ -153,6 +153,12 @@ def _classical_text(term) -> str:
 
 
 def _cmd_classical(ns) -> int:
+    # From order 5 on, h_6 holds a free-amplitude parity term of hbar weight
+    # -1, which classical_limit rejects; refuse before deriving anything.
+    if ns.order > 4:
+        raise ConfigError(f"--order: classical serves orders 1..4; at order {ns.order}"
+                          " h has an eps^6 term of negative hbar weight, which has no"
+                          " classical limit")
     mass = _rational(ns.mass, "--mass")
     if mass <= 0:
         raise ConfigError(f"--mass: {ns.mass!r} is not positive")

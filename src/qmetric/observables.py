@@ -4,7 +4,9 @@ classical limit.
 Conjugation by the metric square root is carried out order by order on
 formal power series of operators: e^{sQ/2} A e^{-sQ/2} =
 sum_k (s/2)^k/k! ad_Q^k(A), which terminates at each series order
-because Q starts at order one.  The Hamiltonian needs no conjugation:
+because Q starts at order one.  The top order is summed over k before
+it is commuted, so it costs one commutator per Q_s.  The Hamiltonian
+needs no conjugation:
 by the defining relation it is sech(L/2) H0, L X = [X, Q], a sum over
 the nested commutators the derivation already tabulated.
 """
@@ -15,26 +17,39 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import OperatorExpr, h0, symmetric_form
+from .algebra import OperatorExpr, commutator, h0, symmetric_form
 from .errors import EngineError
 from .perturbation import QSeries, _extension
-from .rational import GaussianRational
 from .series import SeriesExpr, series_commutator
 
 
 def conjugate_by_sqrt_metric(a: SeriesExpr, q: SeriesExpr, sign: int = 1) -> SeriesExpr:
-    """e^{sign*Q/2} A e^{-sign*Q/2} truncated to the order of `a`.
+    """e^{sign*Q/2} A e^{-sign*Q/2} truncated to n = min(a.order, q.order).
 
     sign=+1 dresses a bare operator into its physical counterpart, -1 undresses.
+    Q must vanish at order 0.  With c_k = (sign/2)^k / k! the result is
+    sum_k c_k ad_Q^k(A), ad_Q X = [Q, X]; orders below n are summed term by
+    term.  Order n needs only the weighted sum, so by linearity it is
+    A_n + sum_{s=1..n} [Q_s, F_{n-s}] with F = sum_{k=1..n} c_k ad_Q^{k-1}(A):
+    one commutator per Q_s.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = term = a
-    for k in range(1, a.order + 1):
+    if not q.coeff(0).is_zero():
+        raise ValueError("Q must vanish at order 0")
+    n = min(a.order, q.order)
+    if n == 0:
+        return a.truncate(0)
+    c = [Fraction(sign ** k, 2 ** k * math.factorial(k)) for k in range(n + 1)]
+    out = term = a.truncate(n - 1)
+    weighted = term.scale(c[1])
+    for k in range(1, n):
         term = series_commutator(q, term)
-        coeff = GaussianRational(Fraction(sign ** k, 2 ** k * math.factorial(k)))
-        out = out + term.scale(coeff)
-    return out
+        out = out + term.scale(c[k])
+        weighted = weighted + term.scale(c[k + 1])
+    top = sum((commutator(q.coeff(s), weighted.coeff(n - s)) for s in range(1, n + 1)
+               if q.coeff(s) and weighted.coeff(n - s)), a.coeff(n))
+    return SeriesExpr(n, {**{j: out.coeff(j) for j in out.indices()}, n: top})
 
 
 def observable_x(qs: QSeries) -> SeriesExpr:

@@ -9,7 +9,10 @@ Q_j Hermitian.  Order j is obtained in three steps:
    k-fold nested commutators [..[H0, Q].., Q].  Column j of that table
    reads only the columns before it, so ``derive_metric_series`` grows
    it one column per order and computes each nested commutator once;
-   ``extend_one_order`` and ``equivalent_hermitian`` reuse it.
+   ``extend_one_order`` and ``equivalent_hermitian`` reuse it.  A column
+   no later order reads (R_N, and R_{N+1} and h_{N+1} in the extension)
+   is summed before it is commuted: sum_k c_k D[k][m] =
+   sum_i [sum_k c_k D[k-1][i], Q_{m-i}], one commutator per Q_{m-i}.
 2. ``solve_commutator_equation``: produce one particular Hermitian
    solution by descending-x-degree elimination.
 3. ``canonical_q``: move every x-free piece of the particular solution
@@ -153,21 +156,34 @@ class _NestedCommutators:
     def column(self, m, coeffs, keep):
         """([sum_{k>=2} c(k) D[k][m] for c in coeffs], D[2..m][m] if `keep`).
 
-        Without `keep` only the D[k][m] some c(k) needs are formed, one at
-        a time: no later column reads them.
+        With `keep` every D[k][m] is formed, since later columns read them.
+        Without it no later column needs the entries, so each sum is
+        regrouped by linearity into one commutator per Q_{m-i}:
+        sum_k c(k) D[k][m] = sum_{i=1..m-1} [sum_{k=2..i+1} c(k) D[k-1][i], Q_{m-i}].
         """
+        if not keep:
+            return [self._streamed(m, c) for c in coeffs], []
         sums = [OperatorExpr.zero() for _ in coeffs]
         entries = []
         for k in range(2, m + 1):
-            cs = [c(k) for c in coeffs]
-            if keep or any(cs):
-                d = sum((commutator(self.cols[i - 1][k - 2], self.q[m - i - 1])
-                         for i in range(k - 1, m)
-                         if self.cols[i - 1][k - 2] and self.q[m - i - 1]), OperatorExpr.zero())
-                if keep:
-                    entries.append(d)
-                sums = [acc + d.scale(c) if c else acc for acc, c in zip(sums, cs)]
+            d = sum((commutator(self.cols[i - 1][k - 2], self.q[m - i - 1])
+                     for i in range(k - 1, m)
+                     if self.cols[i - 1][k - 2] and self.q[m - i - 1]), OperatorExpr.zero())
+            entries.append(d)
+            sums = [acc + d.scale(ck) if (ck := c(k)) else acc for acc, c in zip(sums, coeffs)]
         return sums, entries
+
+    def _streamed(self, m, c):
+        """sum_{k>=2} c(k) D[k][m], one commutator per nonzero weighted sum."""
+        weights = [c(k) for k in range(2, m + 1)]
+        out = OperatorExpr.zero()
+        for i in range(1, m):
+            q = self.q[m - i - 1]
+            f = sum((d.scale(w) for d, w in zip(self.cols[i - 1], weights) if w and d),
+                    OperatorExpr.zero())
+            if f and q:
+                out = out + commutator(f, q)
+        return out
 
     def check_relation(self, h1_op):
         """Raise at the first m with D[1][m] = [H0, Q_m] != R_m from this

@@ -101,6 +101,16 @@ def test_classical_rejects_order_three_mass_symbolics():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("order", ["5", "6"])
+def test_classical_refuses_orders_with_negative_hbar_weight(order):
+    out = run("classical", "--order", order)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("config error: --order: classical serves orders 1..4;")
+    assert "negative hbar weight" in out.stderr
+
+
 def test_orbit_csv(tmp_path):
     dest = tmp_path / "orbit.csv"
     out = run("orbit", "--dt", "0.01", "--out", str(dest))

@@ -4,7 +4,8 @@ Whatever the input, the CLI must exit 0, 1 or 2 and never end in a
 traceback.  Runs are kept short: orbit draws always end with
 ``--steps`` <= 1000 and ``--periods`` <= 2 (flags beat the config), and
 --order values stay at 3 or below or out of range, since orders 4-6 are
-valid but cost seconds each in ``observables``.  ``verify-tables`` takes
+valid but cost seconds each in ``observables``; ``classical`` also draws
+4, 5 and 6, since it refuses 5 and 6 before deriving anything.  ``verify-tables`` takes
 no options of its own and is covered by test_cli.py.
 """
 
@@ -31,7 +32,7 @@ PARAMS = {f"{k}{j}": RATS for k in "lk" for j in (1, 2, 3)}
 OPTIONS = {
     "derive": {"order": st.sampled_from(ORDERS), "format": FORMATS, **PARAMS},
     "observables": {"order": st.sampled_from(ORDERS), "format": FORMATS, **PARAMS},
-    "classical": {"order": st.sampled_from(ORDERS), "mass": RATS,
+    "classical": {"order": st.sampled_from(ORDERS + ["4", "5", "6"]), "mass": RATS,
                   "format": FORMATS},
     "orbit": {"order": st.sampled_from(ORDERS), "mass": RATS, "epsilon": FLOATS,
               "init-x": FLOATS, "init-p": FLOATS, "dt": FLOATS},

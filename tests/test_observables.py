@@ -78,6 +78,41 @@ def test_sign_validation(formal3):
     q = SeriesExpr(3, {j: formal3.q(j) for j in (1, 2, 3)})
     with pytest.raises(ValueError):
         conjugate_by_sqrt_metric(SeriesExpr.of(h0(), order=3), q, sign=2)
+    with pytest.raises(ValueError, match="order 0"):
+        conjugate_by_sqrt_metric(SeriesExpr.of(h0(), order=3),
+                                 q + SeriesExpr.of(OperatorExpr.x_power(1), order=3))
+
+
+def termwise_conjugation(a, q, sign):
+    """sum_k (sign/2)^k / k! ad_Q^k(A), one series commutator per k."""
+    out = term = a
+    for k in range(1, a.order + 1):
+        term = series_commutator(q, term)
+        coeff = GaussianRational(F(sign ** k, 2 ** k * math.factorial(k)))
+        out = out + term.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_conjugation_matches_termwise_loop(formal3, formal4, sign):
+    # The top order is regrouped into one commutator per Q_s; it must agree
+    # with the per-k sum, also for two-part (odd kappa) coefficients.
+    numeric = derive_metric_series(MetricParams.numeric(
+        4, lam=[F(3, 7)] * 4, kap=[F(-2, 5)] * 4))
+    x, p = OperatorExpr.x_power(1), OperatorExpr.p_power(1)
+    cases = [
+        SeriesExpr.of(x, order=4),
+        SeriesExpr(4, {0: h0(), 1: h1(), 3: (x * p + p * x).scale(F(1, 3))}),
+        SeriesExpr.of(p, order=0),
+        SeriesExpr(2, {0: p, 2: x}),
+        SeriesExpr(6, {0: x, 2: p, 5: h1()}),
+    ]
+    for qs in (formal3, formal4, numeric):
+        q = qs.series()
+        for a in cases:
+            got = conjugate_by_sqrt_metric(a, q, sign)
+            assert got.order == min(a.order, q.order)
+            assert got == termwise_conjugation(a, q, sign), (qs.order, a)
 
 
 # -- equivalent Hermitian Hamiltonian --------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 
 from qmetric.algebra import OperatorExpr, commutator, h0, h1
 from qmetric.errors import EngineError
+from qmetric.observables import _sech_coefficient
 from qmetric.params import ParamPoly
 from qmetric.perturbation import (MetricParams, QSeries, bbj_compare, bbj_expansion,
                                   build_r, derive_metric_series,
@@ -248,6 +249,22 @@ def test_recorded_sources_match_standalone_build_r():
     prior = qs.q_list()
     for j in range(1, 7):
         assert qs.record(j).r == build_r(j, prior[:j - 1]), j
+
+
+def test_streamed_column_matches_weighted_entries():
+    # Without `keep` a column's sums are regrouped into one commutator per
+    # Q_{m-i}; they must equal the kept entries D[k][m] weighted term by term.
+    table = derive_metric_series(MetricParams.formal(6))._table
+    coeffs = (q_coefficient, _sech_coefficient)
+    for m in range(2, 7):
+        streamed, entries = table.column(m, coeffs, keep=False)
+        assert entries == []
+        _, kept = table.column(m, (), keep=True)
+        assert len(kept) == m - 1
+        for c, got in zip(coeffs, streamed):
+            want = sum((d.scale(c(k)) for k, d in enumerate(kept, start=2) if c(k)),
+                       OperatorExpr.zero())
+            assert got == want, (m, c.__name__)
 
 
 def test_params_validation():

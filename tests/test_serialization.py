@@ -86,3 +86,11 @@ def test_observables_order6_bytes_are_pinned():
     got = _cli("observables", "--order", "6").encode()
     assert hashlib.sha256(got).hexdigest() == (
         "3fb26cdc9b99b8dea1427cd1031fc2847e7a35804e3ce8a59373fcff10fee4d6")
+
+
+def test_numeric_observables_order6_bytes_are_pinned():
+    # An odd-order kappa gives coefficients with both a real and an
+    # imaginary part, through every order of X, P and h.
+    got = _cli("observables", "--order", "6", "--l1=3/7", "--k1=-2/5").encode()
+    assert hashlib.sha256(got).hexdigest() == (
+        "d7c2bdeb5010851727e5aef8074833d3d4b097ee8085821d0cc2520ff0de1445")
