@@ -19,13 +19,18 @@ identity  p^b x^a = sum_k C(a,k) (-i)^k ff(b,k) x^(a-k) p^(b-k)  with ff
 the falling factorial, valid for negative b as well, together with
 P x = -x P,  P p = -p P,  P^2 = 1.
 
-Products run on integers (the layout of FLINT's fmpq_poly).  poly_mul,
-expr_mul and expr_commutator convert each operand once per call to
-integer numerators over one denominator, the lcm of the operand's
-denominators; every term is accumulated with plain int adds, each
-surviving output coefficient is then reduced once, by q_make over the
-product of the two denominators, and zero sums are dropped.  The output
-is in the same canonical form as every other scalar above.
+Products run on integers (the layout of FLINT's fmpq_poly).  expr_mul
+and expr_commutator take a list of (t1, t2) operand pairs and return the
+sum of their products or commutators, so a sum of many terms is one call
+and one reduction; a single product passes a one-element list.  Each
+operand is converted once per call to integer numerators over the lcm of
+its own denominators, d1 or d2, and every pair is then brought over one
+denominator, the lcm of the pairs' d1 d2, by folding the factor
+den / (d1 d2) into t1's numerators; poly_mul converts its two polys the
+same way and works over d1 d2.  Every term is accumulated with plain int
+adds, each surviving output coefficient is then reduced once, by q_make
+over that denominator, and zero sums are dropped.  The output is in the
+same canonical form as every other scalar above.
 
 expr_mul and expr_commutator work in the rotated frame x = i y, in which
 [y, p] = 1 and the cubic i eps x^3 is the real eps y^3.  On entry the
@@ -40,17 +45,18 @@ plain integers, applied to each entry with one multiply-add.  On output
 each coefficient is rotated back by i^a of its own x-power.
 
 Inside one expr_mul or expr_commutator call, every exponent vector gets
-a small-int id: one id space per operand and one for the products, whose
-id is memoized per (id1, id2) pair, so ev_mul runs once per distinct
-pair and the accumulators hash ints.  A monomial pair (a1, b1, e1),
-(a2, b2, e2) feeds only outputs x^(a1+a2-k) p^(b1+b2-k) P^(e1^e2), which
-share b - a and the parity: the accumulator is one row per (b - a,
+a small-int id: the left operands of all pairs share one id space, the
+right operands another, and the products a third, whose id is memoized
+per (id1, id2) pair, so ev_mul runs once per distinct pair and the
+accumulators hash ints.  A monomial pair (a1, b1, e1), (a2, b2, e2) feeds
+only outputs x^(a1+a2-k) p^(b1+b2-k) P^(e1^e2), which share b - a and the
+parity: the accumulator, shared by all pairs, is one row per (b - a,
 parity), a list indexed by x-power whose slots map 2 * product id + phase
 to an integer numerator.  Output keys come out in order of first use, the
 order a single dict keyed by (a, b, e) would give.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 Q_ZERO = (0, 1, 0, 1)
 Q_ONE = (1, 1, 0, 1)
@@ -166,13 +172,7 @@ def poly_mul(p1, p2):
 
 def expr_add(t1, t2):
     out = {k: dict(p) for k, p in t1.items()}
-    expr_add_into(out, t2)
-    return out
-
-
-def expr_add_into(out, t):
-    """Add expr t into expr out in place."""
-    for k, p in t.items():
+    for k, p in t2.items():
         old = out.get(k)
         if old is None:
             out[k] = dict(p)
@@ -182,6 +182,7 @@ def expr_add_into(out, t):
                 out[k] = s
             else:
                 del out[k]
+    return out
 
 
 def expr_scale(t, u):
@@ -288,57 +289,67 @@ def _entries(a, p, den, ids):
     return out
 
 
-def _int_kernel(t1, t2, weights):
-    """sum over monomial pairs of weights(m1, m2) times the poly product,
-    accumulated in integers and reduced once per output coefficient."""
-    d1, d2 = _common_den(t1.values()), _common_den(t2.values())
+def _int_kernel(pairs, weights):
+    """sum over the (t1, t2) pairs and their monomial pairs of
+    weights(m1, m2) times the poly product, accumulated in integers over
+    one denominator and reduced once per output coefficient."""
+    pairs = [(t1, t2, _common_den(t1.values()), _common_den(t2.values()))
+             for t1, t2 in pairs if t1 and t2]
+    den = lcm(*(d1 * d2 for _, _, d1, d2 in pairs))
     ids1, ids2, pids = {}, {}, {}
-    n1 = [(a, b, e, _entries(a, p, d1, ids1)) for (a, b, e), p in t1.items()]
-    n2 = []
-    for (a, b, e), p in t2.items():
-        plain = _entries(a, p, d2, ids2)
-        # The same entries times i, paired with phase-1 entries of t1.
-        turned = [(ev, i, ph ^ 1, -v if ph else v) for ev, i, ph, v in plain]
-        n2.append((a, b, e, (plain, turned)))
-    if not (n1 and n2):
+    work = []
+    width = 0
+    for t1, t2, _, d2 in pairs:
+        # t1's entries sit over den // d2: the factor den // (d1 d2) is
+        # folded into them, so every product is a numerator over den.
+        d1 = den // d2
+        n1 = [(a, b, e, _entries(a, p, d1, ids1)) for (a, b, e), p in t1.items()]
+        n2 = []
+        for (a, b, e), p in t2.items():
+            plain = _entries(a, p, d2, ids2)
+            # The same entries times i, paired with phase-1 entries of t1.
+            turned = [(ev, i, ph ^ 1, -v if ph else v) for ev, i, ph, v in plain]
+            n2.append((a, b, e, (plain, turned)))
+        work.append((n1, n2))
+        width = max(width, max(t[0] for t in n1) + max(t[0] for t in n2) + 1)
+    if not work:
         return {}
     stride = len(ids2)
     memo = [None] * (len(ids1) * stride)  # id1 * stride + id2 -> 2 * product's id
-    width = max(t[0] for t in n1) + max(t[0] for t in n2) + 1
     rows = {}   # 2 (b - a) + parity -> [slot or None] indexed by x-power
     order = []  # (output key, slot) in order of first use
-    for a1, b1, e1, p1 in n1:
-        for a2, b2, e2, p2 in n2:
-            ws = weights(a1, b1, e1, a2, b2, e2)
-            if not ws:
-                continue
-            pc = {}  # 2 * product id + phase -> integer numerator
-            get = pc.get
-            for ev1, i1, ph1, v1 in p1:
-                i1 *= stride
-                for ev2, i2, ph, v2 in p2[ph1]:
-                    base = memo[i1 + i2]
-                    if base is None:
-                        base = memo[i1 + i2] = 2 * pids.setdefault(ev_mul(ev1, ev2), len(pids))
-                    key = base + ph
-                    pc[key] = get(key, 0) + v1 * v2
-            pc = pc.items()
-            a, b, e = a1 + a2, b1 + b2, e1 ^ e2
-            rk = 2 * (b - a) + e
-            row = rows.get(rk)
-            if row is None:
-                row = rows[rk] = [None] * width
-            # In the rotated frame the (-i)^k of the normal-ordering rule
-            # cancels against i^k, so the weights n are plain integers.
-            for k, n in ws:
-                slot = row[a - k]
-                if slot is None:
-                    slot = row[a - k] = {}
-                    order.append(((a - k, b - k, e), slot))
-                get = slot.get
-                for key, v in pc:
-                    slot[key] = get(key, 0) + n * v
-    den = d1 * d2
+    for n1, n2 in work:
+        for a1, b1, e1, p1 in n1:
+            for a2, b2, e2, p2 in n2:
+                ws = weights(a1, b1, e1, a2, b2, e2)
+                if not ws:
+                    continue
+                pc = {}  # 2 * product id + phase -> integer numerator
+                get = pc.get
+                for ev1, i1, ph1, v1 in p1:
+                    i1 *= stride
+                    for ev2, i2, ph, v2 in p2[ph1]:
+                        base = memo[i1 + i2]
+                        if base is None:
+                            base = memo[i1 + i2] = 2 * pids.setdefault(ev_mul(ev1, ev2), len(pids))
+                        key = base + ph
+                        pc[key] = get(key, 0) + v1 * v2
+                pc = pc.items()
+                a, b, e = a1 + a2, b1 + b2, e1 ^ e2
+                rk = 2 * (b - a) + e
+                row = rows.get(rk)
+                if row is None:
+                    row = rows[rk] = [None] * width
+                # In the rotated frame the (-i)^k of the normal-ordering rule
+                # cancels against i^k, so the weights n are plain integers.
+                for k, n in ws:
+                    slot = row[a - k]
+                    if slot is None:
+                        slot = row[a - k] = {}
+                        order.append(((a - k, b - k, e), slot))
+                    get = slot.get
+                    for key, v in pc:
+                        slot[key] = get(key, 0) + n * v
     evs = list(pids)
     out = {}
     for key, slot in order:
@@ -362,13 +373,13 @@ def _int_kernel(t1, t2, weights):
     return out
 
 
-def expr_mul(t1, t2):
-    """Normal-ordered product of two exprs."""
-    return _int_kernel(t1, t2, _product_weights)
+def expr_mul(pairs):
+    """Normal-ordered sum of the products t1*t2 over the (t1, t2) pairs."""
+    return _int_kernel(pairs, _product_weights)
 
 
-def expr_commutator(t1, t2):
-    """Normal-ordered commutator t1*t2 - t2*t1, one poly product per
-    monomial pair."""
-    return _int_kernel(t1, t2, _commutator_weights)
+def expr_commutator(pairs):
+    """Normal-ordered sum of the commutators t1*t2 - t2*t1 over the
+    (t1, t2) pairs, one poly product per monomial pair."""
+    return _int_kernel(pairs, _commutator_weights)
 

@@ -179,7 +179,7 @@ class OperatorExpr:
         if isinstance(other, (int, Fraction, GaussianRational, ParamPoly)):
             return self.scale(other)
         if isinstance(other, OperatorExpr):
-            return OperatorExpr.from_raw(_b.expr_mul(self._t, other._t))
+            return OperatorExpr.from_raw(_b.expr_mul([(self._t, other._t)]))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -204,8 +204,9 @@ class OperatorExpr:
         """Hermitian adjoint; (x^a p^b P^e)+ = P^e p^b x^a, reordered.
 
         Internally monomials keep P rightmost, so commuting P^e back across
-        p^b costs (-1)^(b*e).  Monomials sharing the x-power a are reordered
-        by one product with x^a, summed into one dict.
+        p^b costs (-1)^(b*e).  Monomials sharing the x-power a are grouped
+        into one left operand of a product with x^a, and the sum over the
+        x-powers is one expr_mul call.
         """
         by_x: dict = {}
         for (a, b, e), p in self._t.items():
@@ -213,10 +214,8 @@ class OperatorExpr:
             if e and (b & 1):
                 cp = _b.poly_neg(cp)
             by_x.setdefault(a, {})[(0, b, e)] = cp
-        out: dict = {}
-        for a, left in by_x.items():
-            _b.expr_add_into(out, _b.expr_mul(left, {(a, 0, 0): {(): _b.Q_ONE}}))
-        return OperatorExpr.from_raw(out)
+        return OperatorExpr.from_raw(_b.expr_mul(
+            [(left, {(a, 0, 0): {(): _b.Q_ONE}}) for a, left in by_x.items()]))
 
     def is_hermitian(self) -> bool:
         return self == self.adjoint()
@@ -295,8 +294,13 @@ def commutator(a: OperatorExpr, b: OperatorExpr, k: int = 1) -> OperatorExpr:
         raise ValueError("commutator nesting must be >= 0")
     out = a
     for _ in range(k):
-        out = OperatorExpr.from_raw(_b.expr_commutator(out._t, b._t))
+        out = commutator_sum([(out, b)])
     return out
+
+
+def commutator_sum(pairs) -> OperatorExpr:
+    """sum of [a, b] over the (a, b) pairs, in one kernel call."""
+    return OperatorExpr.from_raw(_b.expr_commutator([(a._t, b._t) for a, b in pairs]))
 
 
 def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -321,10 +325,9 @@ def symmetric_form(expr: OperatorExpr) -> list[tuple[int, int, bool, ParamPoly]]
             del residual[(a, b, e)]
             continue
         s = poly * Fraction(1, 2)
-        basis = _b.expr_add(
-            _b.expr_mul({(a, 0, 0): {(): _b.Q_ONE}}, {(0, b, e): {(): _b.Q_ONE}}),
-            _b.expr_mul({(0, b, 0): {(): _b.Q_ONE}}, {(a, 0, e): {(): _b.Q_ONE}}),
-        )
+        one = {(): _b.Q_ONE}
+        basis = _b.expr_mul([({(a, 0, 0): one}, {(0, b, e): one}),
+                             ({(0, b, 0): one}, {(a, 0, e): one})])
         items.append((a, b, bool(e), s))
         scaled = {k: _b.poly_mul(p, s.terms) for k, p in basis.items()}
         residual = _b.expr_add(residual, {k: _b.poly_neg(p) for k, p in scaled.items() if p})

@@ -4,10 +4,10 @@ qmetric has one core, the pure-Python ``_core_py``; this module names
 what the algebra code uses from it.
 """
 
-from ._core_py import (Q_ONE, Q_ZERO, ev_mul, expr_add, expr_add_into,
-                       expr_commutator, expr_mul, expr_scale, poly_add,
-                       poly_conj, poly_mul, poly_neg, poly_scale, q_add, q_conj,
-                       q_is_zero, q_make, q_mul, q_neg)
+from ._core_py import (Q_ONE, Q_ZERO, ev_mul, expr_add, expr_commutator,
+                       expr_mul, expr_scale, poly_add, poly_conj, poly_mul,
+                       poly_neg, poly_scale, q_add, q_conj, q_is_zero, q_make,
+                       q_mul, q_neg)
 
 
 def backend_name() -> str:

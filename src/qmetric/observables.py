@@ -5,10 +5,10 @@ Conjugation by the metric square root is carried out order by order on
 formal power series of operators: e^{sQ/2} A e^{-sQ/2} =
 sum_k (s/2)^k/k! ad_Q^k(A), which terminates at each series order
 because Q starts at order one.  The top order is summed over k before
-it is commuted, so it costs one commutator per Q_s.  The Hamiltonian
-needs no conjugation:
-by the defining relation it is sech(L/2) H0, L X = [X, Q], a sum over
-the nested commutators the derivation already tabulated.
+it is commuted, so it costs one kernel call over the pairs (Q_s, F_{n-s}).
+The Hamiltonian needs no conjugation: by the defining relation it is
+sech(L/2) H0, L X = [X, Q], a sum over the nested commutators the
+derivation already tabulated.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import OperatorExpr, commutator, h0, symmetric_form
+from .algebra import OperatorExpr, commutator_sum, h0, symmetric_form
 from .errors import EngineError
 from .perturbation import QSeries, _extension
 from .series import SeriesExpr, series_commutator
@@ -31,7 +31,7 @@ def conjugate_by_sqrt_metric(a: SeriesExpr, q: SeriesExpr, sign: int = 1) -> Ser
     sum_k c_k ad_Q^k(A), ad_Q X = [Q, X]; orders below n are summed term by
     term.  Order n needs only the weighted sum, so by linearity it is
     A_n + sum_{s=1..n} [Q_s, F_{n-s}] with F = sum_{k=1..n} c_k ad_Q^{k-1}(A):
-    one commutator per Q_s.
+    one kernel call over the pairs (Q_s, F_{n-s}).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -47,8 +47,8 @@ def conjugate_by_sqrt_metric(a: SeriesExpr, q: SeriesExpr, sign: int = 1) -> Ser
         term = series_commutator(q, term)
         out = out + term.scale(c[k])
         weighted = weighted + term.scale(c[k + 1])
-    top = sum((commutator(q.coeff(s), weighted.coeff(n - s)) for s in range(1, n + 1)
-               if q.coeff(s) and weighted.coeff(n - s)), a.coeff(n))
+    top = a.coeff(n) + commutator_sum((q.coeff(s), weighted.coeff(n - s))
+                                      for s in range(1, n + 1))
     return SeriesExpr(n, {**{j: out.coeff(j) for j in out.indices()}, n: top})
 
 

@@ -13,6 +13,8 @@ Q_j Hermitian.  Order j is obtained in three steps:
    no later order reads (R_N, and R_{N+1} and h_{N+1} in the extension)
    is summed before it is commuted: sum_k c_k D[k][m] =
    sum_i [sum_k c_k D[k-1][i], Q_{m-i}], one commutator per Q_{m-i}.
+   Every such sum of commutators, and each entry D[k][m], is one call of
+   the commutator kernel over the list of its pairs.
 2. ``solve_commutator_equation``: produce one particular Hermitian
    solution by descending-x-degree elimination.
 3. ``canonical_q``: move every x-free piece of the particular solution
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import OperatorExpr, commutator, h0, h1, scaling_degree
+from .algebra import OperatorExpr, commutator, commutator_sum, h0, h1, scaling_degree
 from .errors import EngineError
 from .params import ParamPoly
 from .rational import GaussianRational
@@ -160,30 +162,30 @@ class _NestedCommutators:
         Without it no later column needs the entries, so each sum is
         regrouped by linearity into one commutator per Q_{m-i}:
         sum_k c(k) D[k][m] = sum_{i=1..m-1} [sum_{k=2..i+1} c(k) D[k-1][i], Q_{m-i}].
+        Each D[k][m], and each regrouped sum, is one kernel call over its
+        pairs, so its terms are summed in integers and reduced once.
         """
         if not keep:
             return [self._streamed(m, c) for c in coeffs], []
         sums = [OperatorExpr.zero() for _ in coeffs]
         entries = []
         for k in range(2, m + 1):
-            d = sum((commutator(self.cols[i - 1][k - 2], self.q[m - i - 1])
-                     for i in range(k - 1, m)
-                     if self.cols[i - 1][k - 2] and self.q[m - i - 1]), OperatorExpr.zero())
+            d = commutator_sum((self.cols[i - 1][k - 2], self.q[m - i - 1])
+                               for i in range(k - 1, m))
             entries.append(d)
             sums = [acc + d.scale(ck) if (ck := c(k)) else acc for acc, c in zip(sums, coeffs)]
         return sums, entries
 
     def _streamed(self, m, c):
-        """sum_{k>=2} c(k) D[k][m], one commutator per nonzero weighted sum."""
+        """sum_{k>=2} c(k) D[k][m] as sum_i [F_i, Q_{m-i}] with the weighted
+        sums F_i = sum_k c(k) D[k-1][i], in one kernel call."""
         weights = [c(k) for k in range(2, m + 1)]
-        out = OperatorExpr.zero()
+        pairs = []
         for i in range(1, m):
-            q = self.q[m - i - 1]
             f = sum((d.scale(w) for d, w in zip(self.cols[i - 1], weights) if w and d),
                     OperatorExpr.zero())
-            if f and q:
-                out = out + commutator(f, q)
-        return out
+            pairs.append((f, self.q[m - i - 1]))
+        return commutator_sum(pairs)
 
     def check_relation(self, h1_op):
         """Raise at the first m with D[1][m] = [H0, Q_m] != R_m from this

@@ -12,7 +12,9 @@ class GaussianRational:
     """Immutable element of Q(i).
 
     Thin wrapper around the backend scalar tuple; accepts ints, Fractions,
-    other GaussianRationals, and the serialized string form.
+    (numerator, denominator) pairs of ints, other GaussianRationals, and
+    the serialized string form.  A zero denominator raises
+    ZeroDivisionError and a pair with a non-int part TypeError.
     """
 
     __slots__ = ("_q",)
@@ -137,13 +139,24 @@ class GaussianRational:
 
 
 def _as_pair(v):
+    if isinstance(v, bool):
+        raise TypeError(f"cannot build a rational part from {v!r}")
     if isinstance(v, int):
         return v, 1
     if isinstance(v, Fraction):
         return v.numerator, v.denominator
     if isinstance(v, tuple) and len(v) == 2:
-        return int(v[0]), int(v[1])
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in v):
+            raise TypeError(f"a rational pair must be two ints, got {v!r}")
+        return _nonzero_den(*v, v)
     raise TypeError(f"cannot build a rational part from {v!r}")
+
+
+def _nonzero_den(n: int, d: int, source) -> tuple[int, int]:
+    """(n, d), refusing d == 0 as Fraction does."""
+    if d == 0:
+        raise ZeroDivisionError(f"zero denominator in {source!r}")
+    return n, d
 
 
 def _coerce(v):
@@ -193,7 +206,7 @@ _IMAG_RE = re.compile(r"^[+-]?(?:\d+(?:/\d+)?\*)?i$")
 def _parse_rat(s: str) -> tuple[int, int]:
     if "/" in s:
         n, d = s.split("/")
-        return int(n), int(d)
+        return _nonzero_den(int(n), int(d), s)
     return int(s), 1
 
 

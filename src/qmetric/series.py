@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import OperatorExpr, commutator
+from .algebra import OperatorExpr, commutator_sum
 
 
 class SeriesExpr:
@@ -107,14 +107,12 @@ class SeriesExpr:
 
 
 def series_commutator(a: SeriesExpr, b: SeriesExpr) -> SeriesExpr:
-    """[a, b], truncated to the smaller order; one kernel call per pair."""
+    """[a, b], truncated to the smaller order; one kernel call per output
+    order j, over the pairs of coefficients whose orders add up to j."""
     n = min(a._order, b._order)
-    out: dict[int, OperatorExpr] = {}
+    by_order: dict[int, list] = {}
     for j1, e1 in a._c.items():
         for j2, e2 in b._c.items():
-            j = j1 + j2
-            if j > n:
-                continue
-            c = commutator(e1, e2)
-            out[j] = out[j] + c if j in out else c
-    return SeriesExpr(n, out)
+            if j1 + j2 <= n:
+                by_order.setdefault(j1 + j2, []).append((e1, e2))
+    return SeriesExpr(n, {j: commutator_sum(pairs) for j, pairs in by_order.items()})

@@ -1,5 +1,6 @@
 """The product and commutator kernels against a reference product on
-Fraction pairs, plus the kernel identities and the grouped adjoint."""
+Fraction pairs, plus the kernel identities, the sums over pair lists and
+the grouped adjoint."""
 
 import math
 from fractions import Fraction
@@ -179,7 +180,7 @@ CROSS = ((0, 1), (1, 1))
 def test_product_matches_reference(pair):
     a, b = pair
     before = (_snapshot(a), _snapshot(b))
-    got = core.expr_mul(a, b)
+    got = core.expr_mul([(a, b)])
     assert got == ref_mul(a, b)
     assert_canonical(got)
     assert (a, b) == before
@@ -190,7 +191,7 @@ def test_product_matches_reference(pair):
 def test_commutator_matches_reference(pair):
     a, b = pair
     before = (_snapshot(a), _snapshot(b))
-    got = core.expr_commutator(a, b)
+    got = core.expr_commutator([(a, b)])
     assert got == ref_commutator(a, b)
     assert_canonical(got)
     assert (a, b) == before
@@ -199,7 +200,7 @@ def test_commutator_matches_reference(pair):
 @given(cancelling_pairs())
 def test_cancelled_terms_are_dropped(pair):
     a, b = pair
-    for t in (core.expr_mul(a, b), core.expr_commutator(a, b),
+    for t in (core.expr_mul([(a, b)]), core.expr_commutator([(a, b)]),
               {(0, 0, 0): core.poly_mul(*a.values(), *b.values())}):
         assert all(CROSS not in p for p in t.values())
 
@@ -209,7 +210,7 @@ def test_commutator_with_own_multiple_vanishes(a, f):
     # [a, f a] = f [a, a] = 0 for a scalar polynomial f: every output
     # coefficient must cancel exactly, whatever the denominators.
     fa = {k: core.poly_mul(p, f) for k, p in a.items()}
-    assert core.expr_commutator(a, {k: p for k, p in fa.items() if p}) == {}
+    assert core.expr_commutator([(a, {k: p for k, p in fa.items() if p})]) == {}
 
 
 # Both parts nonzero, so every phase pair (real or imaginary times real
@@ -224,10 +225,10 @@ def test_rotation_residues_match_reference(r1, r2):
     a = {(r1, -3, 0): BOTH, (r1 + 4, 2, 1): ONE_PART, (r1 + 1, 1, 0): BOTH}
     b = {(r2, 1, 1): BOTH, (r2 + 4, -2, 0): BOTH, (r2 + 2, 0, 0): ONE_PART}
     for t1, t2 in ((a, b), (b, a)):
-        got = core.expr_mul(t1, t2)
+        got = core.expr_mul([(t1, t2)])
         assert got == ref_mul(t1, t2)
         assert_canonical(got)
-        got = core.expr_commutator(t1, t2)
+        got = core.expr_commutator([(t1, t2)])
         assert got == ref_commutator(t1, t2)
         assert_canonical(got)
 
@@ -238,8 +239,55 @@ def _minus(t1, t2):
 
 @given(op_tables(), op_tables())
 def test_commutator_matches_two_products(a, b):
-    assert core.expr_commutator(a, b) == _minus(core.expr_mul(a, b),
-                                                core.expr_mul(b, a))
+    assert core.expr_commutator([(a, b)]) == _minus(core.expr_mul([(a, b)]),
+                                                    core.expr_mul([(b, a)]))
+
+
+KERNELS = (core.expr_mul, core.expr_commutator)
+
+
+def _one_pair_sum(kernel, pair_list):
+    """The sum of the one-pair calls, merged with expr_add."""
+    out = {}
+    for a, b in pair_list:
+        out = core.expr_add(out, kernel([(a, b)]))
+    return out
+
+
+def _negated_rescaled(pair, s):
+    """(s a, -b / s): its product and commutator are minus those of (a, b),
+    with other denominators."""
+    a, b = pair
+    return (core.expr_scale(a, _gauss(s, Fraction(0))),
+            core.expr_scale(b, _gauss(-1 / s, Fraction(0))))
+
+
+@settings(deadline=None)
+@given(st.lists(pairs, max_size=4), st.data())
+def test_pair_lists_sum_their_one_pair_calls(pair_list, data):
+    # Opposite copies make parts of the sum, or all of it, cancel across
+    # pairs whose operands sit over different denominators.
+    for pair in list(pair_list):
+        if data.draw(st.booleans()):
+            pair_list.append(_negated_rescaled(pair, data.draw(fracs)))
+    before = [(_snapshot(a), _snapshot(b)) for a, b in pair_list]
+    for kernel in KERNELS:
+        got = kernel(pair_list)
+        assert got == _one_pair_sum(kernel, pair_list), kernel.__name__
+        assert_canonical(got)
+    assert pair_list == before
+
+
+@given(pairs, fracs)
+def test_opposite_pairs_sum_to_zero(pair, s):
+    for kernel in KERNELS:
+        assert kernel([pair, _negated_rescaled(pair, s)]) == {}, kernel.__name__
+
+
+def test_empty_pair_list_is_zero():
+    for kernel in KERNELS:
+        assert kernel([]) == {}
+        assert kernel([({}, {(0, 1, 0): {(): core.Q_ONE}})]) == {}
 
 
 def _adjoint_by_monomial(t):
@@ -249,8 +297,8 @@ def _adjoint_by_monomial(t):
         cp = core.poly_conj(p)
         if e and (b & 1):
             cp = core.poly_neg(cp)
-        out = core.expr_add(out, core.expr_mul({(0, b, e): cp},
-                                               {(a, 0, 0): {(): core.Q_ONE}}))
+        out = core.expr_add(out, core.expr_mul([({(0, b, e): cp},
+                                                 {(a, 0, 0): {(): core.Q_ONE}})]))
     return out
 
 
@@ -271,5 +319,5 @@ def test_scalar_helpers_are_called_through_module_globals(monkeypatch, formal3):
     a, b = formal3.q(2).raw, formal3.q(1).raw
     for kernel in (core.expr_commutator, core.expr_mul):
         counts.clear()
-        assert kernel(a, b)
+        assert kernel([(a, b)])
         assert set(counts) == {"q_make", "ev_mul", "gcd"}, kernel.__name__

@@ -1,0 +1,90 @@
+"""The one-call sums of commutators and products against the per-pair
+loops they replaced: series_commutator, the entries D[k][m] of a kept
+column, and the adjoint.  Exact arithmetic makes regrouping a sum
+exact, so the results must be equal."""
+
+from fractions import Fraction
+
+import pytest
+
+from qmetric import _core_py as core
+from qmetric.algebra import OperatorExpr, commutator
+from qmetric.observables import observable_p, observable_x
+from qmetric.perturbation import MetricParams, derive_metric_series
+from qmetric.series import SeriesExpr, series_commutator
+
+
+def looped_series_commutator(a, b):
+    """[a, b] with one commutator and one rational sum per pair."""
+    n = min(a.order, b.order)
+    out = {}
+    for j1 in a.indices():
+        for j2 in b.indices():
+            j = j1 + j2
+            if j > n:
+                continue
+            c = commutator(a.coeff(j1), b.coeff(j2))
+            out[j] = out[j] + c if j in out else c
+    return SeriesExpr(n, out)
+
+
+def looped_entries(table, m):
+    """D[2..m][m], each a rational sum of one commutator per pair."""
+    return [sum((commutator(table.cols[i - 1][k - 2], table.q[m - i - 1])
+                 for i in range(k - 1, m)
+                 if table.cols[i - 1][k - 2] and table.q[m - i - 1]), OperatorExpr.zero())
+            for k in range(2, m + 1)]
+
+
+def looped_adjoint(expr):
+    """The adjoint as one product per x-power group, merged with expr_add."""
+    by_x = {}
+    for (a, b, e), p in expr.raw.items():
+        cp = core.poly_conj(p)
+        if e and (b & 1):
+            cp = core.poly_neg(cp)
+        by_x.setdefault(a, {})[(0, b, e)] = cp
+    out = {}
+    for a, left in by_x.items():
+        out = core.expr_add(out, core.expr_mul([(left, {(a, 0, 0): {(): core.Q_ONE}})]))
+    return OperatorExpr.from_raw(out)
+
+
+SERIES = {
+    "formal5": MetricParams.formal(5),
+    # odd-order kappa_j give coefficients with both a real and an imaginary part
+    "numeric5-odd-kappa": MetricParams.numeric(5, lam=[Fraction(3, 7)] * 5,
+                                               kap=[Fraction(-2, 5)] * 5),
+}
+
+
+@pytest.fixture(scope="module", params=list(SERIES), ids=list(SERIES))
+def derived(request):
+    qs = derive_metric_series(SERIES[request.param])
+    return qs, observable_x(qs), observable_p(qs)
+
+
+def test_series_commutator_matches_per_pair_loop(derived):
+    qs, x, p = derived
+    q = qs.series()
+    for a, b in ((q, x), (x, p), (p, q), (q, q), (x.truncate(3), q)):
+        assert series_commutator(a, b) == looped_series_commutator(a, b)
+
+
+def test_kept_column_entries_match_per_pair_loop(derived):
+    qs = derived[0]
+    table = qs._table
+    n = qs.order
+    # column n as the extension completes it, after the derived columns
+    table = table.add(qs.q(n), qs.record(n).r, table.column(n, (), True)[1])
+    for m in range(2, n + 1):
+        assert table.cols[m - 1][1:] == tuple(looped_entries(table, m)), m
+
+
+def test_adjoint_matches_per_group_loop(derived):
+    qs, x, p = derived
+    exprs = [e for rec in qs.orders for e in (rec.q, rec.r, rec.particular)]
+    exprs += [s.coeff(j) for s in (x, p) for j in s.indices()]
+    exprs += [qs.q(1) * x.coeff(1), p.coeff(2) * qs.q(2)]  # neither Hermitian
+    for e in exprs:
+        assert e.adjoint() == looped_adjoint(e)

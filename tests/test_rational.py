@@ -82,3 +82,25 @@ def test_large_literal_not_split():
 def test_int_and_fraction_coercion():
     assert GaussianRational(2) == GaussianRational(Fraction(2), 0)
     assert GaussianRational(1, 2) * GaussianRational(1, -2) == GaussianRational(5)
+
+
+@pytest.mark.parametrize("args", [("1/0",), ((1, 0),), ("0/0+i",), (1, (2, 0)),
+                                  ("3/4-1/0*i",), ((0, 0), 1)],
+                         ids=["text", "pair", "text-0/0", "imag-pair", "imag-text", "0/0-pair"])
+def test_zero_denominator_raises_like_fraction(args):
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(*args)
+
+
+@pytest.mark.parametrize("args", [((1.5, 2),), (("3", "4"),), ((1, 2.0),), ((True, 2),),
+                                  (1, (Fraction(1, 2), 3)), (True,), (0, False)],
+                         ids=["float", "strings", "float-den", "bool", "imag-fraction",
+                              "bool-re", "bool-im"])
+def test_pair_parts_must_be_ints(args):
+    with pytest.raises(TypeError):
+        GaussianRational(*args)
+
+
+def test_int_pairs_reduce():
+    assert GaussianRational((6, -8), (3, 1)) == GaussianRational(Fraction(-3, 4), 3)
+    assert str(GaussianRational((0, 5))) == "0"
