@@ -6,8 +6,9 @@ qmetric.backend.
 
 Data shapes:
 
-* scalar  -- 4-tuple of ints ``(an, ad, bn, bd)`` meaning an/ad + (bn/bd)*i,
-  both fractions reduced, denominators positive.  Zero is (0, 1, 0, 1).
+* scalar  -- 3-tuple of ints ``(re, im, den)`` meaning (re + im*i)/den, with
+  den > 0 and gcd(re, im, den) = 1, so equal values are equal tuples.
+  Zero is (0, 0, 1).  Printed forms reduce each part on the way out.
 * poly    -- dict mapping exponent vectors to nonzero scalars.  An exponent
   vector is a tuple of (symbol_id, exponent) pairs sorted by symbol_id with
   all exponents > 0; the empty tuple is the constant monomial.
@@ -58,52 +59,42 @@ order a single dict keyed by (a, b, e) would give.
 
 from math import gcd, lcm
 
-Q_ZERO = (0, 1, 0, 1)
-Q_ONE = (1, 1, 0, 1)
+Q_ZERO = (0, 0, 1)
+Q_ONE = (1, 0, 1)
 _INT_ZERO = (0, 0)
 
 
-def q_make(an, ad, bn, bd):
-    """Normalize a scalar: reduce both fractions, force denominators > 0."""
-    if ad < 0:
-        an, ad = -an, -ad
-    if bd < 0:
-        bn, bd = -bn, -bd
-    g = gcd(an, ad)
+def q_make(re, im, den):
+    """Normalize (re + im*i)/den: den > 0, one gcd over all three parts."""
+    if den < 0:
+        re, im, den = -re, -im, -den
+    g = gcd(re, im, den)
     if g > 1:
-        an //= g
-        ad //= g
-    g = gcd(bn, bd)
-    if g > 1:
-        bn //= g
-        bd //= g
-    return (an, ad, bn, bd)
+        return (re // g, im // g, den // g)
+    return (re, im, den)
 
 
 def q_add(u, v):
-    an = u[0] * v[1] + v[0] * u[1]
-    bn = u[2] * v[3] + v[2] * u[3]
-    return q_make(an, u[1] * v[1], bn, u[3] * v[3])
+    d1, d2 = u[2], v[2]
+    return q_make(u[0] * d2 + v[0] * d1, u[1] * d2 + v[1] * d1, d1 * d2)
 
 
 def q_neg(u):
-    return (-u[0], u[1], -u[2], u[3])
+    return (-u[0], -u[1], u[2])
 
 
 def q_conj(u):
-    return (u[0], u[1], -u[2], u[3])
+    return (u[0], -u[1], u[2])
 
 
 def q_mul(u, v):
-    # (a+bi)(c+di) = (ac - bd) + (ad + bc)i, on fraction pairs.
-    re_n = u[0] * v[0] * u[3] * v[3] - u[2] * v[2] * u[1] * v[1]
-    im_n = u[0] * v[2] * u[3] * v[1] + u[2] * v[0] * u[1] * v[3]
-    den = u[1] * v[1] * u[3] * v[3]
-    return q_make(re_n, den, im_n, den)
+    # (a+bi)(c+di) = (ac - bd) + (ad + bc)i, over the product of the dens.
+    a, b, c, d = u[0], u[1], v[0], v[1]
+    return q_make(a * c - b * d, a * d + b * c, u[2] * v[2])
 
 
 def q_is_zero(u):
-    return u[0] == 0 and u[2] == 0
+    return u[0] == 0 and u[1] == 0
 
 
 def ev_mul(e1, e2):
@@ -143,7 +134,7 @@ def poly_add(p1, p2):
             out[ev] = c
         else:
             c = q_add(old, c)
-            if c[0] == 0 and c[2] == 0:
+            if c[0] == 0 and c[1] == 0:
                 del out[ev]
             else:
                 out[ev] = c
@@ -151,16 +142,16 @@ def poly_add(p1, p2):
 
 
 def poly_neg(p):
-    return {ev: (-c[0], c[1], -c[2], c[3]) for ev, c in p.items()}
+    return {ev: (-c[0], -c[1], c[2]) for ev, c in p.items()}
 
 
 def poly_conj(p):
     # Parameters are real symbols, so conjugation only touches scalars.
-    return {ev: (c[0], c[1], -c[2], c[3]) for ev, c in p.items()}
+    return {ev: (c[0], -c[1], c[2]) for ev, c in p.items()}
 
 
 def poly_scale(p, u):
-    if u[0] == 0 and u[2] == 0:
+    if u[0] == 0 and u[1] == 0:
         return {}
     return {ev: q_mul(c, u) for ev, c in p.items()}
 
@@ -186,7 +177,7 @@ def expr_add(t1, t2):
 
 
 def expr_scale(t, u):
-    if u[0] == 0 and u[2] == 0:
+    if u[0] == 0 and u[1] == 0:
         return {}
     return {k: poly_scale(p, u) for k, p in t.items()}
 
@@ -196,20 +187,20 @@ def _common_den(polys):
     den = 1
     for p in polys:
         for c in p.values():
-            for d in (c[1], c[3]):
-                if den % d:
-                    den = den // gcd(den, d) * d
+            d = c[2]
+            if den % d:
+                den = den // gcd(den, d) * d
     return den
 
 
 def _to_int(p, den):
     """Poly p as {ev: (re, im)}, Gaussian-integer numerators over den."""
-    return {ev: (c[0] * (den // c[1]), c[2] * (den // c[3])) for ev, c in p.items()}
+    return {ev: (c[0] * (f := den // c[2]), c[1] * f) for ev, c in p.items()}
 
 
 def _reduce(p, den):
     """Integer-numerator poly p over den back to scalars; drops zero sums."""
-    return {ev: q_make(re, den, im, den) for ev, (re, im) in p.items() if re or im}
+    return {ev: q_make(re, im, den) for ev, (re, im) in p.items() if re or im}
 
 
 def _int_poly_mul(p1, p2):
@@ -281,7 +272,8 @@ def _entries(a, p, den, ids):
     out = []
     for ev, c in p.items():
         i = ids.setdefault(ev, len(ids))
-        re, im = _turn(c[0] * (den // c[1]), c[2] * (den // c[3]), -a & 3)
+        f = den // c[2]
+        re, im = _turn(c[0] * f, c[1] * f, -a & 3)
         if re:
             out.append((ev, i, 0, re))
         if im:
@@ -367,7 +359,7 @@ def _int_kernel(pairs, weights):
             re, im = (w, v) if k & 1 else (v, w)
             if re or im:
                 re, im = _turn(re, im, t)
-                poly[evs[k >> 1]] = q_make(re, den, im, den)
+                poly[evs[k >> 1]] = q_make(re, im, den)
         if poly:
             out[key] = poly
     return out

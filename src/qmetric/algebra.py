@@ -23,16 +23,23 @@ from .params import ParamPoly, format_poly, parse_poly
 from .rational import GaussianRational
 
 
+def require_int(name: str, v) -> int:
+    """v itself if it is an int; TypeError for a bool or any other type."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{name} must be an int, got {v!r}")
+    return v
+
+
 class Monomial:
     """View of a single basis word x^a p^b P^e."""
 
     __slots__ = ("xPow", "pPow", "parity")
 
     def __init__(self, xPow: int, pPow: int, parity: bool = False):
-        if xPow < 0:
+        if require_int("x power", xPow) < 0:
             raise ValueError("negative x powers are not in the algebra")
-        self.xPow = int(xPow)
-        self.pPow = int(pPow)
+        self.xPow = xPow
+        self.pPow = require_int("p power", pPow)
         self.parity = bool(parity)
 
     @property
@@ -100,12 +107,13 @@ class OperatorExpr:
 
     @classmethod
     def monomial(cls, coeff, xPow: int = 0, pPow: int = 0, parity: bool = False) -> "OperatorExpr":
-        if xPow < 0:
+        if require_int("x power", xPow) < 0:
             raise ValueError("negative x powers are not in the algebra")
+        require_int("p power", pPow)
         poly = _coerce_coeff(coeff)
         if poly.is_zero():
             return cls.zero()
-        return cls.from_raw({(int(xPow), int(pPow), 1 if parity else 0): poly.terms})
+        return cls.from_raw({(xPow, pPow, 1 if parity else 0): poly.terms})
 
     @classmethod
     def one(cls) -> "OperatorExpr":

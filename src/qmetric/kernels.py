@@ -4,7 +4,8 @@ A kernel is a finite sum of items
 
     f(x,y) * sign(x - s*y)      and      g(x) * delta^(k)(x - s*y)
 
-with s = +1 or -1 and exact Gaussian-rational coefficients.  Negative
+with s = +1 or -1 and exact Gaussian-rational coefficients, stored as
+the core's scalar tuples and combined with its scalar ops.  Negative
 momentum powers produce the sign items, non-negative powers the delta
 items.  Delta items are kept canonical: the accompanying polynomial is
 reduced onto the support (a polynomial in x alone) using
@@ -15,38 +16,34 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
+from . import backend as _b
 from .algebra import OperatorExpr
 from .errors import EngineError
-from .rational import GaussianRational, _format_scalar
-
-_I_POW = (GaussianRational(1), GaussianRational(0, 1),
-          GaussianRational(-1), GaussianRational(0, -1))
-_MINUS_I_POW = (GaussianRational(1), GaussianRational(0, -1),
-                GaussianRational(-1), GaussianRational(0, 1))
-
-
-def _coerce(v) -> GaussianRational:
-    if isinstance(v, GaussianRational):
-        return v
-    return GaussianRational(v)
+from .rational import I_POWERS, GaussianRational, _format_scalar
 
 
 class XYPoly:
-    """Exact bivariate polynomial in x and y."""
+    """Exact bivariate polynomial in x and y: {(i, j): core scalar}."""
 
     __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        t: dict[tuple[int, int], GaussianRational] = {}
+        t: dict[tuple[int, int], tuple] = {}
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError("negative exponents")
-            c = _coerce(c)
-            if not c.is_zero():
+            c = GaussianRational(c).tuple
+            if not _b.q_is_zero(c):
                 t[(int(i), int(j))] = c
         self._t = t
+
+    @classmethod
+    def from_terms(cls, terms: dict) -> "XYPoly":
+        obj = object.__new__(cls)
+        obj._t = {k: c for k, c in terms.items() if not _b.q_is_zero(c)}
+        return obj
 
     @classmethod
     def zero(cls) -> "XYPoly":
@@ -58,11 +55,11 @@ class XYPoly:
 
     @classmethod
     def x_minus_y_power(cls, n: int) -> "XYPoly":
-        return cls({(n - k, k): Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)})
+        return cls({(n - k, k): (-1) ** k * math.comb(n, k) for k in range(n + 1)})
 
     @classmethod
     def x_plus_y_power(cls, n: int) -> "XYPoly":
-        return cls({(n - k, k): Fraction(math.comb(n, k)) for k in range(n + 1)})
+        return cls({(n - k, k): math.comb(n, k) for k in range(n + 1)})
 
     @property
     def terms(self) -> dict:
@@ -72,7 +69,7 @@ class XYPoly:
         return not self._t
 
     def coeff(self, i: int, j: int) -> GaussianRational:
-        return self._t.get((i, j), GaussianRational(0))
+        return GaussianRational.from_tuple(self._t.get((i, j), _b.Q_ZERO))
 
     def __eq__(self, other):
         return isinstance(other, XYPoly) and self._t == other._t
@@ -81,59 +78,52 @@ class XYPoly:
         return hash(frozenset(self._t.items()))
 
     def __add__(self, other: "XYPoly") -> "XYPoly":
-        out = dict(self._t)
-        for k, c in other._t.items():
-            s = out.get(k, GaussianRational(0)) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return XYPoly(out)
+        return XYPoly.from_terms(_b.poly_add(self._t, other._t))
 
     def __neg__(self) -> "XYPoly":
-        return XYPoly({k: -c for k, c in self._t.items()})
+        return XYPoly.from_terms(_b.poly_neg(self._t))
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
         return self + (-other)
 
     def __mul__(self, other: "XYPoly") -> "XYPoly":
-        out: dict[tuple[int, int], GaussianRational] = {}
+        out: dict[tuple[int, int], tuple] = {}
         for (i1, j1), c1 in self._t.items():
             for (i2, j2), c2 in other._t.items():
                 k = (i1 + i2, j1 + j2)
-                s = out.get(k, GaussianRational(0)) + c1 * c2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return XYPoly(out)
+                c = _b.q_mul(c1, c2)
+                old = out.get(k)
+                out[k] = c if old is None else _b.q_add(old, c)
+        return XYPoly.from_terms(out)
 
     def scale(self, c) -> "XYPoly":
-        c = _coerce(c)
-        return XYPoly({k: v * c for k, v in self._t.items()})
+        return XYPoly.from_terms(_b.poly_scale(self._t, GaussianRational(c).tuple))
 
     def conjugate(self) -> "XYPoly":
-        return XYPoly({k: c.conjugate() for k, c in self._t.items()})
+        return XYPoly.from_terms(_b.poly_conj(self._t))
 
     def swap(self) -> "XYPoly":
         """x <-> y."""
-        return XYPoly({(j, i): c for (i, j), c in self._t.items()})
+        return XYPoly.from_terms({(j, i): c for (i, j), c in self._t.items()})
 
     def reflect_y(self) -> "XYPoly":
         """y -> -y."""
-        return XYPoly({(i, j): c if j % 2 == 0 else -c for (i, j), c in self._t.items()})
+        return XYPoly.from_terms({(i, j): c if j % 2 == 0 else _b.q_neg(c)
+                                  for (i, j), c in self._t.items()})
 
     def deriv_x(self) -> "XYPoly":
-        return XYPoly({(i - 1, j): c * i for (i, j), c in self._t.items() if i > 0})
+        return XYPoly.from_terms({(i - 1, j): _b.q_mul(c, GaussianRational(i).tuple)
+                                  for (i, j), c in self._t.items() if i > 0})
 
     def deriv_y(self) -> "XYPoly":
-        return XYPoly({(i, j - 1): c * j for (i, j), c in self._t.items() if j > 0})
+        return XYPoly.from_terms({(i, j - 1): _b.q_mul(c, GaussianRational(j).tuple)
+                                  for (i, j), c in self._t.items() if j > 0})
 
     def substitute_y(self, a: "XYPoly") -> "XYPoly":
         """y -> a(x,y)."""
         out = XYPoly.zero()
         for (i, j), c in self._t.items():
-            term = XYPoly.monomial(c, i, 0)
+            term = XYPoly.from_terms({(i, 0): c})
             for _ in range(j):
                 term = term * a
             out = out + term
@@ -147,7 +137,7 @@ class XYPoly:
             return (-(i + j), -i)
         parts = []
         for (i, j), c in sorted(self._t.items(), key=key):
-            cs = _format_scalar(c.tuple)
+            cs = _format_scalar(c)
             mono = "*".join(s for s in (f"x^{i}" if i else "", f"y^{j}" if j else "") if s)
             if not mono:
                 parts.append(f"({cs})")
@@ -171,16 +161,16 @@ def _delta_reduce(kind_k: int, s: int, poly: XYPoly) -> dict[BaseKey, XYPoly]:
     term by term; the result carries polynomials in x only.
     """
     # y = s*x - s*u  (u = x - s*y)
-    sub = XYPoly({(1, 0): Fraction(s), (0, 1): Fraction(-s)})  # s*x - s*u, u in y-slot
+    sub = XYPoly({(1, 0): s, (0, 1): -s})  # s*x - s*u, u in y-slot
     expanded = poly.substitute_y(sub)  # now (x, u)-polynomial
     out: dict[BaseKey, XYPoly] = {}
     for (i, m), c in expanded.terms.items():
         if m > kind_k:
             continue  # u^m delta^(k)(u) = 0 for m > k
         knew = kind_k - m
-        factor = Fraction((-1) ** m * math.factorial(kind_k), math.factorial(knew))
+        factor = (-1) ** m * math.factorial(kind_k) // math.factorial(knew)
         key = ("delta", knew, s)
-        add = XYPoly.monomial(c * factor, i, 0)
+        add = XYPoly.from_terms({(i, 0): _b.q_mul(c, GaussianRational(factor).tuple)})
         out[key] = out.get(key, XYPoly.zero()) + add
     return {k: v for k, v in out.items() if not v.is_zero()}
 
@@ -314,11 +304,11 @@ def to_kernel(expr: OperatorExpr) -> Kernel:
         xa = XYPoly.monomial(c, a, 0)
         if b < 0:
             n = -b
-            pref = _I_POW[n % 4] * Fraction(1, 2 * math.factorial(n - 1))
+            pref = I_POWERS[n % 4] * Fraction(1, 2 * math.factorial(n - 1))
             base = XYPoly.x_plus_y_power(n - 1) if e else XYPoly.x_minus_y_power(n - 1)
             out = out + sign_kernel(base.scale(pref), plus=e).mul_x_poly(xa)
         else:
-            pref = _MINUS_I_POW[b % 4]
+            pref = I_POWERS[-b % 4]
             out = out + delta_kernel(XYPoly.monomial(pref, 0, 0), k=b, plus=e).mul_x_poly(xa)
     return out
 

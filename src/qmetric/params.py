@@ -99,7 +99,7 @@ class ParamPoly:
         return ParamPoly.from_terms(_b.poly_conj(self._t))
 
     def is_real(self) -> bool:
-        return all(c[2] == 0 for c in self._t.values())
+        return all(c[1] == 0 for c in self._t.values())
 
     def is_imaginary(self) -> bool:
         return all(c[0] == 0 for c in self._t.values())
@@ -306,8 +306,10 @@ def parse_poly(s: str) -> ParamPoly:
                 continue
             m = _MONO_FACTOR.match(f)
             if m and (m.group(1) == "alpha" or re.fullmatch(r"[lk][1-9]\d*", m.group(1))):
-                sid = symbol_id(m.group(1))
-                ev[sid] = ev.get(sid, 0) + int(m.group(2) or 1)
+                power = int(m.group(2) or 1)
+                if power:
+                    sid = symbol_id(m.group(1))
+                    ev[sid] = ev.get(sid, 0) + power
             else:
                 coeff = coeff * GaussianRational(f)
         if sign < 0:

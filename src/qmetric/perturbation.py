@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import OperatorExpr, commutator, commutator_sum, h0, h1, scaling_degree
 from .errors import EngineError
 from .params import ParamPoly
-from .rational import GaussianRational
+from .rational import I_POWERS, GaussianRational
 from .series import SeriesExpr
 
 DEFAULT_WEIGHT = 5
@@ -297,10 +297,9 @@ def strip_x_free(particular: OperatorExpr, j: int, weight: int = DEFAULT_WEIGHT
         else:
             raw_plain = raw_plain + coeff
     half = ParamPoly(Fraction(1, 2))
-    i_pow = (GaussianRational(1), GaussianRational(0, 1),
-             GaussianRational(-1), GaussianRational(0, -1))[j % 4]
+    i_pow = I_POWERS[j % 4]
     plain = (raw_plain + raw_plain.conjugate()) * half
-    rotated = raw_parity * ParamPoly(i_pow.conjugate())
+    rotated = raw_parity * ParamPoly(I_POWERS[-j % 4])
     parity = (rotated + rotated.conjugate()) * half
     stripped = rest
     left_plain = raw_plain + plain * ParamPoly(-1)
@@ -314,10 +313,8 @@ def strip_x_free(particular: OperatorExpr, j: int, weight: int = DEFAULT_WEIGHT
 
 def homogeneous_q(j: int, lam: ParamPoly, kap: ParamPoly, weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
     """lambda_j p^(-wj) + i^j kappa_j p^(-wj) P (both Hermitian for real amplitudes)."""
-    i_pow = (GaussianRational(1), GaussianRational(0, 1),
-             GaussianRational(-1), GaussianRational(0, -1))[j % 4]
     out = OperatorExpr.monomial(lam, 0, -weight * j, False)
-    return out + OperatorExpr.monomial(kap * ParamPoly(i_pow), 0, -weight * j, True)
+    return out + OperatorExpr.monomial(kap * ParamPoly(I_POWERS[j % 4]), 0, -weight * j, True)
 
 
 def _canonical_parts(j: int, particular: OperatorExpr, params: MetricParams,

@@ -1,4 +1,9 @@
-"""Exact complex rationals a + b*i with arbitrary-precision rational a, b."""
+"""Exact complex rationals a + b*i with arbitrary-precision rational a, b.
+
+A GaussianRational wraps the core's scalar tuple (re, im, den), meaning
+(re + im*i)/den over one reduced denominator; the real and imaginary
+parts are reduced separately only when they are read or printed.
+"""
 
 from __future__ import annotations
 
@@ -30,9 +35,7 @@ class GaussianRational:
                 raise TypeError("string form carries both parts")
             self._q = _parse_scalar(re)
             return
-        rn, rd = _as_pair(re)
-        bn, bd = _as_pair(im)
-        self._q = _b.q_make(rn, rd, bn, bd)
+        self._q = _from_parts(*_as_pair(re), *_as_pair(im))
 
     @classmethod
     def from_tuple(cls, q) -> "GaussianRational":
@@ -46,17 +49,17 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._q[0], self._q[1])
+        return Fraction(self._q[0], self._q[2])
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._q[2], self._q[3])
+        return Fraction(self._q[1], self._q[2])
 
     def is_zero(self) -> bool:
-        return self._q[0] == 0 and self._q[2] == 0
+        return self._q[0] == 0 and self._q[1] == 0
 
     def is_real(self) -> bool:
-        return self._q[2] == 0
+        return self._q[1] == 0
 
     def is_imaginary(self) -> bool:
         return self._q[0] == 0
@@ -96,13 +99,11 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        an, ad, bn, bd = self._q
-        if an == 0 and bn == 0:
+        a, b, d = self._q
+        if a == 0 and b == 0:
             raise ZeroDivisionError("inverse of zero")
-        # 1/(a+bi) = (a-bi)/(a^2+b^2)
-        n2 = Fraction(an, ad) ** 2 + Fraction(bn, bd) ** 2
-        inv = GaussianRational(1 / n2)
-        return self.conjugate() * inv
+        # d/(a+bi) = d(a-bi)/(a^2+b^2)
+        return GaussianRational.from_tuple(_b.q_make(d * a, -d * b, a * a + b * b))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -152,6 +153,11 @@ def _as_pair(v):
     raise TypeError(f"cannot build a rational part from {v!r}")
 
 
+def _from_parts(rn: int, rd: int, bn: int, bd: int):
+    """The scalar tuple of rn/rd + (bn/bd)*i."""
+    return _b.q_make(rn * bd, bn * rd, rd * bd)
+
+
 def _nonzero_den(n: int, d: int, source) -> tuple[int, int]:
     """(n, d), refusing d == 0 as Fraction does."""
     if d == 0:
@@ -170,27 +176,26 @@ def _coerce(v):
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-
-
-def _format_rat(n: int, d: int) -> str:
-    return str(n) if d == 1 else f"{n}/{d}"
+# i^k is I_POWERS[k % 4], and i^(-k) is I_POWERS[-k % 4].
+I_POWERS = (ONE, I, -ONE, -I)
 
 
 def _format_scalar(q) -> str:
     """Canonical text: '0', '3/4', 'i', '-3/4*i', '1/2+i', '1/2-3/4*i'."""
-    an, ad, bn, bd = q
-    if an == 0 and bn == 0:
+    a, b, d = q
+    if a == 0 and b == 0:
         return "0"
     parts = []
-    if an != 0:
-        parts.append(_format_rat(an, ad))
-    if bn != 0:
-        if bn == 1 and bd == 1:
+    if a != 0:
+        parts.append(str(Fraction(a, d)))
+    if b != 0:
+        im = str(Fraction(b, d))
+        if im == "1":
             im = "i"
-        elif bn == -1 and bd == 1:
+        elif im == "-1":
             im = "-i"
         else:
-            im = _format_rat(bn, bd) + "*i"
+            im += "*i"
         if parts and not im.startswith("-"):
             parts.append("+" + im)
         else:
@@ -242,4 +247,4 @@ def _parse_scalar(s: str):
         else:
             bn, bd = _parse_rat(body)
             bn *= sign
-    return _b.q_make(rn, rd, bn, bd)
+    return _from_parts(rn, rd, bn, bd)

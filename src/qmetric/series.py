@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import OperatorExpr, commutator_sum
+from .algebra import OperatorExpr, commutator_sum, require_int
 
 
 class SeriesExpr:
     __slots__ = ("_order", "_c")
 
     def __init__(self, order: int, coeffs: Mapping[int, OperatorExpr] | None = None):
-        if order < 0:
+        if require_int("series order", order) < 0:
             raise ValueError("series order must be non-negative")
         self._order = order
         c: dict[int, OperatorExpr] = {}

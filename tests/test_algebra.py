@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qmetric.algebra import (OperatorExpr, anticommutator, commutator,
+from qmetric.algebra import (Monomial, OperatorExpr, anticommutator, commutator,
                              from_symmetric_form, h0, h1, scaling_degree,
                              symmetric_form)
 from qmetric.params import ParamPoly
@@ -143,3 +143,18 @@ def test_negative_x_power_rejected():
     import pytest
     with pytest.raises(ValueError):
         OperatorExpr.monomial(1, xPow=-1)
+
+
+def test_non_int_powers_rejected():
+    import pytest
+    for bad in (lambda: OperatorExpr.monomial(1, 1, -1.5),
+                lambda: OperatorExpr.x_power(2.7),
+                lambda: OperatorExpr.p_power(Fraction(1)),
+                lambda: OperatorExpr.monomial(1, True),
+                lambda: OperatorExpr.monomial(1, 0, False),
+                lambda: OperatorExpr.monomial(0, 2.0),
+                lambda: Monomial(1.5, 0),
+                lambda: Monomial(1, True)):
+        with pytest.raises(TypeError):
+            bad()
+    assert OperatorExpr("(l1^0)*x") == OperatorExpr.x_power(1)

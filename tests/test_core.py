@@ -19,7 +19,7 @@ dens = st.integers(1, 99)
 
 def _as_pairs(t):
     """Core expr -> {mono: {ev: (Fraction re, Fraction im)}}."""
-    return {k: {ev: (Fraction(c[0], c[1]), Fraction(c[2], c[3]))
+    return {k: {ev: (Fraction(c[0], c[2]), Fraction(c[1], c[2]))
                 for ev, c in p.items()} for k, p in t.items()}
 
 
@@ -27,8 +27,7 @@ def _as_core(t):
     """Reference expr -> core expr, zeros and empty polys dropped."""
     out = {}
     for k, p in t.items():
-        poly = {ev: (re.numerator, re.denominator, im.numerator, im.denominator)
-                for ev, (re, im) in p.items() if re or im}
+        poly = {ev: _gauss(re, im) for ev, (re, im) in p.items() if re or im}
         if poly:
             out[k] = poly
     return out
@@ -72,15 +71,21 @@ def ref_commutator(t1, t2):
     return _as_core(out)
 
 
+def _gauss(re, im):
+    """Fractions re, im -> the core scalar (re + im i) over their lcm denominator."""
+    den = math.lcm(re.denominator, im.denominator)
+    return (int(re * den), int(im * den), den)
+
+
 def assert_canonical(t):
     for (a, b, e), poly in t.items():
         assert a >= 0 and e in (0, 1)
         assert poly, "empty poly"
-        for ev, (an, ad, bn, bd) in poly.items():
+        for ev, (re, im, den) in poly.items():
             assert list(ev) == sorted(ev) and all(x > 0 for _, x in ev)
-            assert ad > 0 and bd > 0
-            assert math.gcd(an, ad) == 1 and math.gcd(bn, bd) == 1
-            assert an or bn, "zero scalar"
+            assert den > 0
+            assert math.gcd(re, im, den) == 1
+            assert re or im, "zero scalar"
 
 
 def _snapshot(t):
@@ -91,8 +96,7 @@ def _snapshot(t):
 
 @st.composite
 def scalars(draw):
-    re, im = Fraction(draw(ints), draw(dens)), Fraction(draw(ints), draw(dens))
-    return (re.numerator, re.denominator, im.numerator, im.denominator)
+    return _gauss(Fraction(draw(ints), draw(dens)), Fraction(draw(ints), draw(dens)))
 
 
 @st.composite
@@ -102,7 +106,7 @@ def polys(draw):
         ev = tuple(sorted({draw(st.integers(0, 5)): draw(st.integers(1, 3))
                            for _ in range(draw(st.integers(0, 2)))}.items()))
         c = draw(scalars())
-        if c[0] or c[2]:
+        if c[0] or c[1]:
             out[ev] = c
     return out
 
@@ -121,10 +125,6 @@ def op_tables(draw):
 
 
 fracs = st.builds(Fraction, ints.filter(bool), dens)
-
-
-def _gauss(re, im):
-    return (re.numerator, re.denominator, im.numerator, im.denominator)
 
 
 @st.composite
@@ -161,7 +161,7 @@ def wide_pairs(draw):
             key = (draw(st.integers(0, 12)), draw(st.integers(-30, 6)),
                    draw(st.integers(0, 1)))
             evs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
-            poly = {ev: c for ev in evs if (c := draw(scalars()))[0] or c[2]}
+            poly = {ev: c for ev in evs if (c := draw(scalars()))[0] or c[1]}
             if poly:
                 out[key] = poly
         return out
@@ -215,8 +215,9 @@ def test_commutator_with_own_multiple_vanishes(a, f):
 
 # Both parts nonzero, so every phase pair (real or imaginary times real
 # or imaginary) meets the rotation by i^(-a) at every residue of a mod 4.
-BOTH = {((0, 1),): (3, 5, -2, 7), (): (-1, 2, 5, 3)}
-ONE_PART = {((1, 2),): (0, 1, 4, 11), ((0, 1), (1, 1)): (-7, 4, 0, 1)}
+# (21 - 10 i)/35 = 3/5 - 2/7 i and (-3 + 10 i)/6 = -1/2 + 5/3 i.
+BOTH = {((0, 1),): (21, -10, 35), (): (-3, 10, 6)}
+ONE_PART = {((1, 2),): (0, 4, 11), ((0, 1), (1, 1)): (-7, 0, 4)}
 
 
 @pytest.mark.parametrize("r1", range(4))
@@ -234,7 +235,7 @@ def test_rotation_residues_match_reference(r1, r2):
 
 
 def _minus(t1, t2):
-    return core.expr_add(t1, core.expr_scale(t2, (-1, 1, 0, 1)))
+    return core.expr_add(t1, core.expr_scale(t2, (-1, 0, 1)))
 
 
 @given(op_tables(), op_tables())

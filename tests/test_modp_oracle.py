@@ -1,8 +1,8 @@
 """An oracle for the metric series that shares no code with the engine.
 
 The engine's output is read only through ``OperatorExpr.raw``: a dict
-{(a, b, e): {exponent vector: (an, ad, bn, bd)}} for the operator
-x^a p^b P^e with coefficient an/ad + (bn/bd) i.  Everything else lives
+{(a, b, e): {exponent vector: (re, im, den)}} for the operator
+x^a p^b P^e with coefficient (re + im i)/den.  Everything else lives
 here, in plain ints modulo the prime M = 2^61 - 1:
 
 * every formal parameter l_j, k_j is evaluated at a fixed random residue;
@@ -61,11 +61,11 @@ def reduce_expr(raw, point):
     out = {}
     for mono, poly in raw.items():
         total = (0, 0)
-        for ev, (an, ad, bn, bd) in poly.items():
+        for ev, (re, im, den) in poly.items():
             m = 1
             for sid, power in ev:
                 m = m * pow(point[sid], power, M) % M
-            total = g_add(total, (residue(an, ad) * m, residue(bn, bd) * m))
+            total = g_add(total, (residue(re, den) * m, residue(im, den) * m))
         add_term(out, mono, total)
     return out
 
@@ -201,8 +201,8 @@ def test_residual_sees_a_perturbed_coefficient(formal8_raws, order):
     raw = {mono: dict(poly) for mono, poly in raws[order - 1].items()}
     mono = max(raw)
     ev = min(raw[mono])
-    an, ad, bn, bd = raw[mono][ev]
-    raw[mono][ev] = (an, ad, bn + bd, bd)  # add i
+    re, im, den = raw[mono][ev]
+    raw[mono][ev] = (re, im + den, den)  # add i
     raws[order - 1] = raw
     residual = defining_residual(raws, Point(1))
     assert any(residual)

@@ -92,3 +92,10 @@ def test_parse_rejects_garbage():
     for text in ("l1 +", "()", "l0", "q1", "1..2"):
         with pytest.raises(ValueError):
             parse_poly(text)
+
+
+def test_zero_exponent_factor_is_dropped():
+    assert parse_poly("l1^0") == ParamPoly(1)
+    assert (parse_poly("l1^0") - 1).is_zero()
+    assert parse_poly("3*l1^0*k1^2") == parse_poly("3*k1^2")
+    assert parse_poly("l1^0*k1^0 + l1") == L1 + 1

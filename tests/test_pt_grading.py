@@ -29,7 +29,7 @@ def grading_violations(expr, s):
     """(terms checked, terms whose reality breaks the rule)."""
     seen, bad = 0, []
     for (a, b, e), poly in expr.raw.items():
-        for ev, (re_n, _, im_n, _) in poly.items():
+        for ev, (re_n, im_n, _) in poly.items():
             w = sum(int(m.group(1)) * x for sid, x in ev
                     if (m := KAPPA.match(symbol_name(sid))))
             imaginary = (a + w + s) % 2 == 1
@@ -74,7 +74,7 @@ def test_numeric_odd_kappa_matches_substituted_formal_series(formal6):
     values = {f"{n}{j}": v for j in range(1, 7) for n, v in (("l", lam), ("k", kap))}
     num = derive_metric_series(MetricParams.numeric(6, [lam] * 6, [kap] * 6))
     both = sum(1 for q in num.q_list() for poly in q.raw.values()
-               for c in poly.values() if c[0] and c[2])
+               for c in poly.values() if c[0] and c[1])
     assert both > 0  # the kernels' two-entry path is exercised
     for j in range(1, 7):
         assert num.q(j) == formal6.q(j).substitute(values), j

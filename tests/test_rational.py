@@ -1,11 +1,12 @@
 """Gaussian-rational scalars against a plain (Fraction, Fraction) oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qmetric.rational import GaussianRational
+from qmetric.rational import I_POWERS, GaussianRational
 
 
 # oracle: componentwise complex arithmetic over exact fractions
@@ -104,3 +105,55 @@ def test_pair_parts_must_be_ints(args):
 def test_int_pairs_reduce():
     assert GaussianRational((6, -8), (3, 1)) == GaussianRational(Fraction(-3, 4), 3)
     assert str(GaussianRational((0, 5))) == "0"
+
+
+def assert_canonical(v):
+    re, im, den = v.tuple
+    assert den > 0 and math.gcd(re, im, den) == 1
+
+
+int_pairs = st.tuples(st.integers(-60, 60), st.integers(-40, 40).filter(bool))
+
+
+@given(pairs, int_pairs, int_pairs)
+def test_every_constructor_path_is_canonical(a, re_pair, im_pair):
+    # The same value from ints, Fractions, int pairs and text gives one
+    # tuple and one hash.
+    v = g(a)
+    assert_canonical(v)
+    frac_re, frac_im = Fraction(*re_pair), Fraction(*im_pair)
+    from_pairs = GaussianRational(re_pair, im_pair)
+    assert_canonical(from_pairs)
+    for same in (GaussianRational(frac_re, frac_im), GaussianRational(str(from_pairs))):
+        assert same.tuple == from_pairs.tuple and hash(same) == hash(from_pairs)
+    assert_canonical(GaussianRational(re_pair[0]))
+    assert GaussianRational(re_pair[0]).tuple == GaussianRational((re_pair[0], 1), 0).tuple
+
+
+@given(pairs, pairs)
+def test_arithmetic_results_are_canonical(a, b):
+    u, v = g(a), g(b)
+    results = [u + v, u - v, u * v, -u, u.conjugate()]
+    if v:
+        results.append(u / v)
+    for r in results:
+        assert_canonical(r)
+        assert hash(r) == hash(GaussianRational(r.re, r.im))
+
+
+def test_equal_values_share_one_tuple():
+    half = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    assert GaussianRational((2, 4), (3, 6)).tuple == half.tuple == (1, 1, 2)
+    assert GaussianRational((-3, -6), (1, -2)).tuple == (1, -1, 2)
+    assert GaussianRational("1/2+1/2*i") == half
+    assert GaussianRational(0).tuple == GaussianRational((0, 7), (0, -3)).tuple == (0, 0, 1)
+    assert str(GaussianRational(Fraction(1, 2), Fraction(1, 3))) == "1/2+1/3*i"
+
+
+def test_i_powers_table():
+    i = GaussianRational(0, 1)
+    for k in range(-5, 6):
+        want = GaussianRational(1)
+        for _ in range(abs(k)):
+            want = want * i if k > 0 else want / i
+        assert I_POWERS[k % 4] == want, k

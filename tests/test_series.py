@@ -25,6 +25,9 @@ def test_construction_and_access():
 def test_index_validation():
     with pytest.raises(ValueError):
         SeriesExpr(-1)
+    for order in (2.5, 2.0, True):
+        with pytest.raises(TypeError):
+            SeriesExpr(order)
     with pytest.raises(ValueError):
         SeriesExpr(2, {3: X})
     s = SeriesExpr(2, {0: X})
