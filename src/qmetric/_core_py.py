@@ -375,3 +375,33 @@ def expr_commutator(pairs):
     (t1, t2) pairs, one poly product per monomial pair."""
     return _int_kernel(pairs, _commutator_weights)
 
+
+def solve_h0(t):
+    """One solution S of [p^2/2, S] = t, by descending x-power.
+
+    c x^a p^b P^e is produced by (i c / (a+1)) x^(a+1) p^(b-1) P^e, which
+    also leaves (i c a / 2) x^(a-1) p^(b-1) P^e, so each diagonal of fixed
+    b - a and parity runs from its top x-power down to 0.  With C_a the
+    coefficient met at x^a, u_a = 2^(top-a) C_a = 2^(top-a) c_a +
+    i (a+1) u_(a+1) on integer numerators over t's common denominator
+    den, and S holds i u_a / ((a+1) 2^(top-a) den) at x^(a+1).
+    """
+    den = _common_den(t.values())
+    diagonals = {}
+    for (a, b, e), p in t.items():
+        diagonals.setdefault((b - a, e), {})[a] = _to_int(p, den)
+    out = {}
+    for (d, e), row in diagonals.items():
+        top = max(row)
+        u = {}
+        for a in range(top, -1, -1):
+            f = 1 << (top - a)
+            u = {ev: (-im * (a + 1), re * (a + 1)) for ev, (re, im) in u.items()}
+            for ev, (re, im) in row.get(a, {}).items():
+                old = u.get(ev, _INT_ZERO)
+                u[ev] = (old[0] + f * re, old[1] + f * im)
+            poly = {ev: q_make(-im, re, (a + 1) * f * den)
+                    for ev, (re, im) in u.items() if re or im}
+            if poly:
+                out[(a + 1, d + a - 1, e)] = poly
+    return out

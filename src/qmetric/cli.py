@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("derive", help="construct the generator series")
     sp.add_argument("--order", type=int, default=None,
-                    help="perturbative order (default 3)")
+                    help="perturbative order, 1..8 (default 3)")
     _add_param_flags(sp)
     _add_common(sp, _cmd_derive)
 
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("observables", help="dressed X, P and Hermitian form")
     sp.add_argument("--order", type=int, default=None,
-                    help="perturbative order (default 3)")
+                    help="perturbative order, 1..6 (default 3)")
     _add_param_flags(sp)
     _add_common(sp, _cmd_observables)
 
@@ -337,6 +337,9 @@ _DEFAULTS = {
     "free-particle": {"format": "text"},
     "verify-tables": {},
 }
+
+# derive serves orders up to 8; the commands that dress the series stop at 6.
+_MAX_ORDER = {"derive": 8}
 
 _TYPED = {"order": int, "periods": int, "steps": int,
           "epsilon": float, "init_x": float, "init_p": float, "dt": float}
@@ -400,8 +403,9 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         _apply_config(ns, parser)
-        if getattr(ns, "order", None) is not None and not 1 <= ns.order <= 6:
-            raise ConfigError(f"--order: {ns.order} is outside 1..6")
+        top = _MAX_ORDER.get(ns.command, 6)
+        if getattr(ns, "order", None) is not None and not 1 <= ns.order <= top:
+            raise ConfigError(f"--order: {ns.order} is outside 1..{top} for {ns.command}")
         return ns.func(ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

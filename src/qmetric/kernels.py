@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import backend as _b
-from .algebra import OperatorExpr
+from .algebra import OperatorExpr, require_int
 from .errors import EngineError
 from .rational import I_POWERS, GaussianRational, _format_scalar
 
@@ -32,11 +32,11 @@ class XYPoly:
     def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
         t: dict[tuple[int, int], tuple] = {}
         for (i, j), c in (terms or {}).items():
-            if i < 0 or j < 0:
+            if require_int("x exponent", i) < 0 or require_int("y exponent", j) < 0:
                 raise ValueError("negative exponents")
             c = GaussianRational(c).tuple
             if not _b.q_is_zero(c):
-                t[(int(i), int(j))] = c
+                t[(i, j)] = c
         self._t = t
 
     @classmethod
@@ -184,7 +184,8 @@ class Kernel:
         canon: dict[BaseKey, XYPoly] = {}
         for key, poly in (items or {}).items():
             kind, k, s = key
-            if kind not in ("sign", "delta") or s not in (1, -1) or k < 0:
+            if (kind not in ("sign", "delta") or s not in (1, -1)
+                    or require_int("derivative order", k) < 0):
                 raise ValueError(f"bad kernel base {key}")
             if kind == "sign" and k != 0:
                 raise ValueError("sign base carries no derivative order")

@@ -7,8 +7,8 @@ sum_k (s/2)^k/k! ad_Q^k(A), which terminates at each series order
 because Q starts at order one.  The top order is summed over k before
 it is commuted, so it costs one kernel call over the pairs (Q_s, F_{n-s}).
 The Hamiltonian needs no conjugation: by the defining relation it is
-sech(L/2) H0, L X = [X, Q], a sum over the nested commutators the
-derivation already tabulated.
+H0 + tanh(L/4) eps H1, L X = [X, Q], a sum over the nested commutators
+of H1 that the derivation already tabulated.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import OperatorExpr, commutator_sum, h0, symmetric_form
 from .errors import EngineError
-from .perturbation import QSeries, _extension
+from .perturbation import QSeries, _extension, _source_weight
 from .series import SeriesExpr, series_commutator
 
 
@@ -64,26 +64,25 @@ def observable_p(qs: QSeries) -> SeriesExpr:
     return conjugate_by_sqrt_metric(p, qs.series(), sign=1)
 
 
-def _sech_coefficient(k: int) -> Fraction:
-    """Weight E_k / (2^k k!) of D[k] in sech(L/2) H0, E_k the Euler numbers."""
-    euler = [1]  # E_0, E_2, .. from sum_{j<=n} C(2n, 2j) E_2j = 0; odd E_k vanish
-    for n in range(1, k // 2 + 1):
-        euler.append(-sum(math.comb(2 * n, 2 * j) * e for j, e in enumerate(euler)))
-    return Fraction(0 if k % 2 else euler[-1], 2 ** k * math.factorial(k))
+def _hermitian_weight(k: int) -> Fraction:
+    """Weight of E[k] in h: the y^k coefficient of tanh(y/4) =
+    2 coth(y/2) - coth(y/4), read off those of -y coth(y/2)."""
+    return 2 * _source_weight(k + 1) * (Fraction(1, 2 ** (k + 1)) - 1)
 
 
 def equivalent_hermitian(qs: QSeries) -> SeriesExpr:
     """Hermitian counterpart of H, one order beyond the derived metric.
 
-    With L X = [X, Q] and D[k] = L^k H0 = [..[H0, Q].., Q] (k-fold), the
-    defining relation e^{L}(H0 + eps H1) = H0 - eps H1 gives
-    eps H1 = -tanh(L/2) H0, so h = e^{-Q/2} H e^{Q/2} = sech(L/2) H0 =
-    sum_{k even} E_k / (2^k k!) D[k], E_k the Euler numbers.  That needs
-    [H0, Q_m] = R_m, which a hand-built series is checked for.  Q_{N+1}
-    is solved with zero free parameters, which checks that R_{N+1} has a
-    solution; h must vanish at first order and be Hermitian throughout.
+    With L X = [X, Q], the defining relation e^{L}(H0 + eps H1) =
+    H0 - eps H1 gives tanh(L/2) H0 = -eps H1, so h = e^{-Q/2} H e^{Q/2} =
+    sech(L/2) H0 = H0 + tanh(L/4) eps H1 (tanh(y/4) tanh(y/2) =
+    1 - sech(y/2)), a sum over the odd nested commutators E[k] of H1.
+    That needs [H0, Q_m] = R_m, which a hand-built series is checked
+    for.  Q_{N+1} is solved with zero free parameters, which checks that
+    R_{N+1} has a solution; h must vanish at first order and be
+    Hermitian throughout.
     """
-    h = SeriesExpr(qs.order + 1, {0: h0(), **_extension(qs, _sech_coefficient)[1]})
+    h = SeriesExpr(qs.order + 1, {0: h0(), **_extension(qs, _hermitian_weight)[1]})
     if not h.coeff(1).is_zero():
         raise EngineError("first-order term of the dressed Hamiltonian must vanish")
     for j in range(h.order + 1):

@@ -4,19 +4,17 @@ The generator is built as a finite series Q = sum_j Q_j e^j with every
 Q_j Hermitian.  Order j is obtained in three steps:
 
 1. ``build_r``: assemble the right-hand side R_j of [H0, Q_j] = R_j from
-   the already-solved lower orders, via the universal rational weights
-   ``q_coefficient(k)`` and the order-j coefficients D[k][j] of the
-   k-fold nested commutators [..[H0, Q].., Q].  Column j of that table
-   reads only the columns before it, so ``derive_metric_series`` grows
-   it one column per order and computes each nested commutator once;
-   ``extend_one_order`` and ``equivalent_hermitian`` reuse it.  A column
-   no later order reads (R_N, and R_{N+1} and h_{N+1} in the extension)
-   is summed before it is commuted: sum_k c_k D[k][m] =
-   sum_i [sum_k c_k D[k-1][i], Q_{m-i}], one commutator per Q_{m-i}.
-   Every such sum of commutators, and each entry D[k][m], is one call of
-   the commutator kernel over the list of its pairs.
+   the already-solved lower orders.  With L X = [X, Q] the defining
+   relation reads tanh(L/2) H0 = -eps H1, so R = L H0 = -L coth(L/2) eps H1
+   is a Bernoulli-weighted sum of the entries E[k][j], the eps^j
+   coefficients of the nested commutators L^k(eps H1).  An entry reads
+   only earlier columns and is formed the first time it is read, once
+   per derivation; the extension and ``equivalent_hermitian`` reuse it.
+   A sum over a column whose entries no later order reads (R_{N-1}, R_N,
+   and R_{N+1}, h_{N+1} in the extension) is summed before it is
+   commuted, one kernel call over the pairs (F_s, Q_s).
 2. ``solve_commutator_equation``: produce one particular Hermitian
-   solution by descending-x-degree elimination.
+   solution by descending-x-degree elimination, in integers.
 3. ``canonical_q``: move every x-free piece of the particular solution
    into the free parameters and attach the homogeneous terms
    lambda_j p^(-5j) + i^j kappa_j p^(-5j) P.
@@ -30,15 +28,17 @@ p-power).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
+from . import backend as _b
 from .algebra import OperatorExpr, commutator, commutator_sum, h0, h1, scaling_degree
 from .errors import EngineError
 from .params import ParamPoly
-from .rational import I_POWERS, GaussianRational
+from .rational import I_POWERS
 from .series import SeriesExpr
 
 DEFAULT_WEIGHT = 5
@@ -62,6 +62,20 @@ def q_coefficient(k: int) -> Fraction:
         for n in range(1, m + 1):
             total += Fraction((-1) ** n * n**k * math.comb(m, n), kfact * 2 ** (m - 1))
     return total
+
+
+@functools.cache
+def _bernoulli(k: int) -> Fraction:
+    """B_k, from sum_{j=0..k} C(k+1, j) B_j = 0 for k >= 1 (so B_1 = -1/2)."""
+    if k == 0:
+        return Fraction(1)
+    return -sum(math.comb(k + 1, j) * _bernoulli(j) for j in range(k)) / (k + 1)
+
+
+def _source_weight(k: int) -> Fraction:
+    """Weight of E[k] in R = -L coth(L/2) eps H1: -2 B_k / k!, the y^k
+    coefficient of -y coth(y/2), zero for odd k."""
+    return Fraction(0) if k % 2 else -2 * _bernoulli(k) / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -126,113 +140,97 @@ class MetricParams:
 
 
 class _NestedCommutators:
-    """Columns of D[k][m], the eps^m coefficient of [..[H0, Q].., Q] (k-fold).
+    """Entries E[k][m], the eps^m coefficient of L^k(eps H1), L X = [X, Q].
 
-    For k >= 2, D[k][m] = sum_{s=1..m-k+1} [D[k-1][m-s], Q_s] reads only
-    earlier columns and Q_1..Q_{m-1}, so the table grows one column per
-    order.  D[1][m] = [H0, Q_m] is R_m for a derived Q_m: the solver's
-    round trip checks [H0, particular] = R_m, and the x-free terms that
-    canonical_q strips or adds commute with H0.
+    E[0][1] = H1 and, for k >= 1, E[k][m] = sum_{s=1..m-k} [E[k-1][m-s], Q_s],
+    so E[k][m] vanishes unless m > k and reads only Q_1..Q_{m-1}.  H1 is
+    anti-Hermitian and every Q_s Hermitian, so E[k][m] is anti-Hermitian
+    for even k and Hermitian for odd k.  An entry is formed the first time
+    it is read and kept in `memo`; the Q_s only grow at the end of `q`,
+    so a kept entry stays valid while the table grows one order at a time.
     """
 
-    __slots__ = ("q", "cols")
+    __slots__ = ("h1", "q", "memo")
 
-    def __init__(self, q=(), cols=()):
-        self.q = q        # Q_1, Q_2, ...
-        self.cols = cols  # cols[m - 1][k - 1] = D[k][m]
+    def __init__(self, h1_op, q=()):
+        self.h1 = h1_op
+        self.q = list(q)  # Q_1, Q_2, ...
+        self.memo = {}    # (k, m) -> E[k][m]
 
-    @classmethod
-    def of(cls, j, prior_q):
-        """Columns 1..j-1 from Q_1..Q_{j-1} alone, D[1][m] = [H0, Q_m]."""
-        if len(prior_q) < j - 1:
-            raise ValueError(f"order {j} needs all lower orders, got {len(prior_q)}")
-        table = cls()
-        for m, q in enumerate(prior_q[:j - 1], start=1):
-            table = table.add(q, commutator(h0(), q), table.column(m, (), True)[1])
-        return table
+    def entry(self, k, m):
+        if k == 0:
+            return self.h1 if m == 1 else OperatorExpr.zero()
+        e = self.memo.get((k, m))
+        if e is None:
+            e = self.memo[k, m] = commutator_sum(
+                (self.entry(k - 1, m - s), self.q[s - 1]) for s in range(1, m - k + 1))
+        return e
 
-    def add(self, q, d1, entries):
-        """This table with Q_m and column m = (D[1][m], *entries) appended."""
-        return _NestedCommutators(self.q + (q,), self.cols + ((d1, *entries),))
+    def _formed(self, m, weight, shift=0):
+        """sum_{k<m} weight(k + shift) E[k][m]; reads only entries of nonzero weight."""
+        return sum((self.entry(k, m).scale(w) for k in range(m) if (w := weight(k + shift))),
+                   OperatorExpr.zero())
 
-    def column(self, m, coeffs, keep):
-        """([sum_{k>=2} c(k) D[k][m] for c in coeffs], D[2..m][m] if `keep`).
+    def total(self, m, weight, streamed=False):
+        """sum_k weight(k) E[k][m].
 
-        With `keep` every D[k][m] is formed, since later columns read them.
-        Without it no later column needs the entries, so each sum is
-        regrouped by linearity into one commutator per Q_{m-i}:
-        sum_k c(k) D[k][m] = sum_{i=1..m-1} [sum_{k=2..i+1} c(k) D[k-1][i], Q_{m-i}].
-        Each D[k][m], and each regrouped sum, is one kernel call over its
+        Streamed, no entry of column m is formed, for a column no later
+        order reads: by linearity the sum is sum_{s=1..m-1} [F_s, Q_s]
+        with F_s = sum_k weight(k) E[k-1][m-s], one kernel call over the
         pairs, so its terms are summed in integers and reduced once.
         """
-        if not keep:
-            return [self._streamed(m, c) for c in coeffs], []
-        sums = [OperatorExpr.zero() for _ in coeffs]
-        entries = []
-        for k in range(2, m + 1):
-            d = commutator_sum((self.cols[i - 1][k - 2], self.q[m - i - 1])
-                               for i in range(k - 1, m))
-            entries.append(d)
-            sums = [acc + d.scale(ck) if (ck := c(k)) else acc for acc, c in zip(sums, coeffs)]
-        return sums, entries
+        if not streamed or m == 1:  # the k = 0 term, E[0][1] = H1, is no commutator
+            return self._formed(m, weight)
+        return commutator_sum((self._formed(m - s, weight, 1), self.q[s - 1])
+                              for s in range(1, m))
 
-    def _streamed(self, m, c):
-        """sum_{k>=2} c(k) D[k][m] as sum_i [F_i, Q_{m-i}] with the weighted
-        sums F_i = sum_k c(k) D[k-1][i], in one kernel call."""
-        weights = [c(k) for k in range(2, m + 1)]
-        pairs = []
-        for i in range(1, m):
-            f = sum((d.scale(w) for d, w in zip(self.cols[i - 1], weights) if w and d),
-                    OperatorExpr.zero())
-            pairs.append((f, self.q[m - i - 1]))
-        return commutator_sum(pairs)
-
-    def check_relation(self, h1_op):
-        """Raise at the first m with D[1][m] = [H0, Q_m] != R_m from this
-        table, R_1 = -2 h1_op."""
-        for m, col in enumerate(self.cols, start=1):
-            terms = (d.scale(q_coefficient(k)) for k, d in enumerate(col[1:], start=2) if k % 2)
-            if col[0] != (h1_op.scale(-2) if m == 1 else sum(terms, OperatorExpr.zero())):
+    def check_relation(self):
+        """Raise at the first m with [H0, Q_m] != R_m from this table."""
+        for m, q in enumerate(self.q, start=1):
+            if commutator(h0(), q) != self.total(m, _source_weight):
                 raise EngineError(f"order {m}: [H0, Q_m] differs from R_m")
 
 
-def _source(j, table, h1_op, weight, coeffs=(), keep=False):
-    """(R_j, checked; the column's sums for `coeffs`; its entries if `keep`)."""
-    (r, *sums), entries = table.column(j, (q_coefficient, *coeffs), keep)
-    if j == 1:
-        r = (h1() if h1_op is None else h1_op).scale(-2)
+def _source(j, table, weight, streamed):
+    """R_j = sum_k source_weight(k) E[k][j], checked."""
+    r = table.total(j, _source_weight, streamed)
     if not r.is_antihermitian():
         raise EngineError(f"order {j}: R_j is not anti-Hermitian (corrupted lower orders?)")
     deg = scaling_degree(r)
     expected = 2 - weight * j
     if not (r.is_zero() or deg == expected):
         raise EngineError(f"order {j}: R_j has scaling degree {deg}, expected {expected}")
-    return r, sums, entries
+    return r
 
 
 def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None = None,
             weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
     """Right-hand side R_j of the order-j commutator equation.
 
-    R_1 = -2 H_1; for j >= 2 the lower orders mix through
-    R_j = sum_{k=2..j} q_k * sum_{s_1+...+s_k=j} [[..[H0, Q_{s_1}].., Q_{s_k}]].
-    The inner sum is D[k][j] of a nested-commutator table built here
-    from Q_1..Q_{j-1} alone, so any list of lower orders may be passed;
+    R_1 = -2 H_1; for j >= 2, R_j = sum_{n>=1} -2 B_2n/(2n)! E[2n][j], the
+    eps^j coefficient of -L coth(L/2) eps H1 (see ``_source_weight``),
+    from a nested-commutator table built here from Q_1..Q_{j-1}.  When
+    those solve the lower orders for `h1_op` (i x^3 unless given), this
+    equals sum_{k=2..j} q_k * sum_{s_1+...+s_k=j} [[..[H0, Q_{s_1}].., Q_{s_k}]].
     ``derive_metric_series`` runs the same code on its growing table.
     """
     if j < 1:
         raise ValueError("order must be >= 1")
-    return _source(j, _NestedCommutators.of(j, prior_q), h1_op, weight)[0]
+    if len(prior_q) < j - 1:
+        raise ValueError(f"order {j} needs all lower orders, got {len(prior_q)}")
+    table = _NestedCommutators(h1() if h1_op is None else h1_op, prior_q[:j - 1])
+    return _source(j, table, weight, streamed=True)
 
 
 def solve_commutator_equation(r: OperatorExpr) -> OperatorExpr:
     """One particular Hermitian solution of [p^2/2, Q] = R.
 
-    Works by strictly descending x-degree: the target term c x^a p^b is
-    produced by (i c / (a+1)) x^(a+1) p^(b-1), whose commutator with H0
-    leaves a remainder of x-degree a-1 that is folded back into the
-    work list.  The raw solution is then projected onto its Hermitian
-    part, which is still a solution because R is anti-Hermitian.
+    Works by strictly descending x-degree along each diagonal of fixed
+    p-power minus x-power and parity, in integers (``_core_py.solve_h0``):
+    the target term c x^a p^b is produced by (i c / (a+1)) x^(a+1) p^(b-1),
+    whose commutator with H0 leaves a remainder at x^(a-1) p^(b-1).  The
+    raw solution is then projected onto its Hermitian part, which is
+    still a solution because R is anti-Hermitian.
     """
     if not r.is_antihermitian():
         raise EngineError("solve_commutator_equation requires an anti-Hermitian input")
@@ -241,27 +239,7 @@ def solve_commutator_equation(r: OperatorExpr) -> OperatorExpr:
 
 def _solve(r: OperatorExpr) -> OperatorExpr:
     """The solver's body, for an R already checked to be anti-Hermitian."""
-    work: dict[tuple[int, int, int], ParamPoly] = {
-        m.key: c for m, c in r.terms()
-    }
-    sol = OperatorExpr.zero()
-    while work:
-        a = max(key[0] for key in work)
-        for key in [k for k in work if k[0] == a]:
-            _, b, e = key
-            c = work.pop(key)
-            gamma = c * ParamPoly(GaussianRational(0, Fraction(1, a + 1)))
-            sol = sol + OperatorExpr.monomial(gamma, a + 1, b - 1, bool(e))
-            if a >= 1:
-                rem_key = (a - 1, b - 1, e)
-                rem = gamma * ParamPoly(Fraction(a * (a + 1), 2))
-                prev = work.get(rem_key, ParamPoly(0))
-                nxt = prev + rem
-                if nxt.is_zero():
-                    work.pop(rem_key, None)
-                else:
-                    work[rem_key] = nxt
-    sol = sol.hermitian_part()
+    sol = OperatorExpr.from_raw(_b.solve_h0(r.raw)).hermitian_part()
     if commutator(h0(), sol) != r:
         raise EngineError("commutator equation round trip failed")
     return sol
@@ -355,8 +333,8 @@ class QSeries:
 
     ``h1_op`` is the perturbation H1 the series solves for, the paper's
     i x^3 unless given.  ``derive_metric_series`` attaches its
-    nested-commutator table (columns 1..N-1); a series built by hand has
-    none, and the next order is then computed from its own records.
+    nested-commutator table, which the extension reuses; a series built
+    by hand has none and is extended from a fresh table over its records.
     """
 
     __slots__ = ("params", "weight", "orders", "h1_op", "_table")
@@ -392,11 +370,11 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
                          weight: int = DEFAULT_WEIGHT) -> QSeries:
     """Run the full pipeline for orders 1..params.order."""
     records: list[OrderRecord] = []
-    table = _NestedCommutators()
+    table = _NestedCommutators(h1() if h1_op is None else h1_op)
     for j in range(1, params.order + 1):
-        keep = j < params.order
         try:
-            r, _, entries = _source(j, table, h1_op, weight, keep=keep)
+            # No later order reads the even entries of columns N-1 and N.
+            r = _source(j, table, weight, streamed=j >= params.order - 1)
             particular = _solve(r)
             stripped, hom, q = _canonical_parts(j, particular, params, weight)
         except EngineError:
@@ -404,32 +382,24 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
         except Exception as exc:  # pragma: no cover - defensive context wrapper
             raise EngineError(f"order {j}: {exc}") from exc
         records.append(OrderRecord(j, r, stripped, hom, q))
-        if keep:
-            table = table.add(q, r, entries)
+        table.q.append(q)
     qs = QSeries(params, weight, records, h1_op)
     qs._table = table
     return qs
 
 
-def _extension(qs, coeff=None):
-    """(canonical particular Q_{N+1}, {m: sum_k coeff(k) D[k][m] for m = 1..N+1}
-    or {} without `coeff`).  Completes column N of the series' table, then
-    streams column N+1 into R_{N+1} and the sum (see ``check_relation``)."""
-    n, j = qs.order, qs.order + 1
-    if qs._table is None:
-        table = _NestedCommutators.of(j, qs.q_list())
-    else:
-        table = qs._table.add(qs.q(n), qs.record(n).r, qs._table.column(n, (), True)[1])
-    r, sums, _ = _source(j, table, None, qs.weight, () if coeff is None else (coeff,))
-    stripped = strip_x_free(_solve(r), j, qs.weight)[0]
-    if coeff is None:
+def _extension(qs, weight=None):
+    """(canonical particular Q_{N+1}, {m: sum_k weight(k) E[k][m] for m = 1..N+1}
+    or {} without `weight`), from the series' table, or from a fresh one checked
+    against [H0, Q_m] = R_m for a series built by hand; column N+1 is streamed."""
+    j = qs.order + 1
+    table = qs._table if qs._table is not None else _NestedCommutators(qs.h1_op, qs.q_list())
+    stripped = strip_x_free(_solve(_source(j, table, qs.weight, streamed=True)), j, qs.weight)[0]
+    if weight is None:
         return stripped, {}
     if qs._table is None:
-        table.check_relation(qs.h1_op)
-    by_order = {m: sum((d.scale(c) for k, d in enumerate(col, start=1) if (c := coeff(k))),
-                       OperatorExpr.zero()) for m, col in enumerate(table.cols, start=1)}
-    by_order[j] = r.scale(coeff(1)) + sums[0] if coeff(1) else sums[0]
-    return stripped, by_order
+        table.check_relation()
+    return stripped, {m: table.total(m, weight, streamed=m == j) for m in range(1, j + 1)}
 
 
 def extend_one_order(qs: QSeries) -> OperatorExpr:

@@ -52,6 +52,20 @@ def test_order_out_of_range():
     assert "outside" in out.stderr
 
 
+def test_derive_serves_order_eight():
+    from qmetric.perturbation import MetricParams, derive_metric_series
+
+    out = run("derive", "--order", "8", "--format", "json")
+    assert out.returncode == 0
+    q = json.loads(out.stdout)["q"]
+    qs = derive_metric_series(MetricParams.formal(8))
+    assert q == {str(j): str(qs.q(j)) for j in range(1, 9)}
+    for command in ("observables", "classical"):
+        out = run(command, "--order", "7")
+        assert out.returncode == 2
+        assert "outside 1..6" in out.stderr
+
+
 def test_bad_rational_flag():
     out = run("derive", "--l1", "abc")
     assert out.returncode == 2

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmetric.cli import main
 
-ORDERS = ["-1", "0", "1", "2", "3", "7", "2.5", "x", ""]
+ORDERS = ["-1", "0", "1", "2", "3", "9", "2.5", "x", ""]
 RATS = st.one_of(
     st.sampled_from(["formal", "3/4", "-3", "1/0", "0", "1", "2", "9/4", "nan",
                      "1e3", "abc", ""]),
@@ -39,7 +39,7 @@ OPTIONS = {
     "free-particle": {"l1": RATS, "k1": RATS, "format": FORMATS},
 }
 
-JSON_ORDERS = st.sampled_from([-1, 0, 1, 2, 3, 7, 2.5, 2.0, True, "3", None])
+JSON_ORDERS = st.sampled_from([-1, 0, 1, 2, 3, 9, 2.5, 2.0, True, "3", None])
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-10, 10), st.floats(),
     st.text(max_size=5), st.lists(st.integers(-3, 3), max_size=2))

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from qmetric import _core_py as core
 from qmetric.algebra import OperatorExpr
+from qmetric.params import ParamPoly
+from qmetric.rational import GaussianRational
 
 ints = st.integers(-999, 999)
 dens = st.integers(1, 99)
@@ -306,6 +308,46 @@ def _adjoint_by_monomial(t):
 @given(op_tables())
 def test_adjoint_matches_per_monomial_products(a):
     assert OperatorExpr.from_raw(a).adjoint().raw == _adjoint_by_monomial(a)
+
+
+def ref_solve(r):
+    """The solver's former elimination, one ParamPoly step per term: the
+    term c x^a p^b P^e of the work list gives (i c / (a+1)) x^(a+1)
+    p^(b-1) P^e and leaves its remainder at x^(a-1) p^(b-1) P^e."""
+    work = {m.key: c for m, c in OperatorExpr.from_raw(r).terms()}
+    sol = OperatorExpr.zero()
+    while work:
+        a = max(key[0] for key in work)
+        for key in [k for k in work if k[0] == a]:
+            _, b, e = key
+            c = work.pop(key)
+            gamma = c * ParamPoly(GaussianRational(0, Fraction(1, a + 1)))
+            sol = sol + OperatorExpr.monomial(gamma, a + 1, b - 1, bool(e))
+            if a >= 1:
+                rem_key = (a - 1, b - 1, e)
+                rem = gamma * ParamPoly(Fraction(a * (a + 1), 2))
+                nxt = work.get(rem_key, ParamPoly(0)) + rem
+                if nxt.is_zero():
+                    work.pop(rem_key, None)
+                else:
+                    work[rem_key] = nxt
+    return sol.raw
+
+
+@settings(deadline=None)
+@given(op_tables() | wide_pairs().map(lambda pair: pair[0]))
+def test_integer_elimination_matches_reference(a):
+    # R = A - A+ is anti-Hermitian, as every source term is; A draws
+    # coefficients with both parts over several symbols, parity terms
+    # and negative p powers.
+    expr = OperatorExpr.from_raw(a)
+    r = (expr - expr.adjoint()).raw
+    before = _snapshot(r)
+    got = core.solve_h0(r)
+    assert got == ref_solve(r)
+    assert_canonical(got)
+    assert r == before
+    assert core.expr_commutator([({(0, 2, 0): {(): (1, 0, 2)}}, got)]) == r
 
 
 def test_scalar_helpers_are_called_through_module_globals(monkeypatch, formal3):

@@ -1,6 +1,6 @@
 """The one-call sums of commutators and products against the per-pair
-loops they replaced: series_commutator, the entries D[k][m] of a kept
-column, and the adjoint.  Exact arithmetic makes regrouping a sum
+loops they replaced: series_commutator, the nested-commutator entries
+E[k][m], and the adjoint.  Exact arithmetic makes regrouping a sum
 exact, so the results must be equal."""
 
 from fractions import Fraction
@@ -9,7 +9,7 @@ import pytest
 
 from qmetric import _core_py as core
 from qmetric.algebra import OperatorExpr, commutator
-from qmetric.observables import observable_p, observable_x
+from qmetric.observables import equivalent_hermitian, observable_p, observable_x
 from qmetric.perturbation import MetricParams, derive_metric_series
 from qmetric.series import SeriesExpr, series_commutator
 
@@ -28,12 +28,10 @@ def looped_series_commutator(a, b):
     return SeriesExpr(n, out)
 
 
-def looped_entries(table, m):
-    """D[2..m][m], each a rational sum of one commutator per pair."""
-    return [sum((commutator(table.cols[i - 1][k - 2], table.q[m - i - 1])
-                 for i in range(k - 1, m)
-                 if table.cols[i - 1][k - 2] and table.q[m - i - 1]), OperatorExpr.zero())
-            for k in range(2, m + 1)]
+def looped_entry(table, k, m):
+    """E[k][m] as a rational sum of one commutator per pair."""
+    return sum((commutator(table.entry(k - 1, m - s), table.q[s - 1])
+                for s in range(1, m - k + 1)), OperatorExpr.zero())
 
 
 def looped_adjoint(expr):
@@ -73,12 +71,12 @@ def test_series_commutator_matches_per_pair_loop(derived):
 
 def test_kept_column_entries_match_per_pair_loop(derived):
     qs = derived[0]
-    table = qs._table
     n = qs.order
-    # column n as the extension completes it, after the derived columns
-    table = table.add(qs.q(n), qs.record(n).r, table.column(n, (), True)[1])
-    for m in range(2, n + 1):
-        assert table.cols[m - 1][1:] == tuple(looped_entries(table, m)), m
+    equivalent_hermitian(qs)  # forms every entry of columns 1..n
+    memo = qs._table.memo
+    assert set(memo) == {(k, m) for m in range(2, n + 1) for k in range(1, m)}
+    for (k, m), entry in memo.items():
+        assert entry == looped_entry(qs._table, k, m), (k, m)
 
 
 def test_adjoint_matches_per_group_loop(derived):

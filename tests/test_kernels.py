@@ -122,6 +122,19 @@ def test_xypoly_binomials():
     assert XYPoly.x_plus_y_power(2) == X * X + X * Y.scale(2) + Y * Y
 
 
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_xypoly_rejects_non_int_exponents(bad):
+    for key in ((bad, 0), (0, bad)):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            XYPoly({key: 1})
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_delta_order_must_be_an_int(bad):
+    with pytest.raises(TypeError, match="derivative order must be an int"):
+        delta_kernel(ONE, k=bad)
+
+
 def test_xypoly_calculus():
     f = X * X * Y
     assert f.deriv_x() == X * Y.scale(2)

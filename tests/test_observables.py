@@ -11,12 +11,13 @@ from qmetric import reference as ref
 from qmetric.algebra import (OperatorExpr, commutator, from_symmetric_form,
                              h0, h1)
 from qmetric.errors import EngineError
-from qmetric.observables import (_sech_coefficient, classical_limit,
+from qmetric.observables import (_hermitian_weight, classical_limit,
                                  conjugate_by_sqrt_metric, equivalent_hermitian,
                                  observable_p, observable_x)
 from qmetric.params import ParamPoly
-from qmetric.perturbation import (MetricParams, QSeries, derive_metric_series,
-                                  extend_one_order, q_coefficient)
+from qmetric.perturbation import (MetricParams, QSeries, _source_weight,
+                                  derive_metric_series, extend_one_order,
+                                  q_coefficient)
 from qmetric.rational import GaussianRational
 from qmetric.series import SeriesExpr, series_commutator
 
@@ -136,20 +137,32 @@ def power_product(a, b):
 
 
 def test_sech_and_tanh_coefficients():
-    # As power series in y through y^12: sech y from the weights of D[k]
-    # (y = L/2), and tanh y = sinh y sech y.
+    # As power series in y through y^12: sech y = 1 / cosh y by long
+    # division, tanh y = sinh y sech y.
     exp_plus = [F(1, math.factorial(k)) for k in range(DEGREE + 1)]
     exp_minus = [c * (-1) ** k for k, c in enumerate(exp_plus)]
     cosh = [(a + b) / 2 for a, b in zip(exp_plus, exp_minus)]
     sinh = [(a - b) / 2 for a, b in zip(exp_plus, exp_minus)]
-    sech = [_sech_coefficient(k) * 2 ** k for k in range(DEGREE + 1)]
+    sech = []
+    for k in range(DEGREE + 1):
+        sech.append((int(k == 0) - sum(cosh[i] * sech[k - i] for i in range(1, k + 1))) / cosh[0])
     assert sech[:7] == [1, 0, F(-1, 2), 0, F(5, 24), 0, F(-61, 720)]
     assert power_product(sech, cosh) == [1] + [0] * DEGREE
     tanh = power_product(sinh, sech)
-    one_plus_tanh = [1 + tanh[0]] + tanh[1:]
-    assert power_product(exp_minus, one_plus_tanh) == sech
-    # D[1][j] = R_j = sum_k q_k D[k][j] is eps H1 = -tanh(L/2) H0 solved
-    # for its k = 1 term: q_k = -2 tanh_k / 2^k (and R_1 = -2 H1).
+    tanh_half = [c / 2 ** k for k, c in enumerate(tanh)]
+    sech_half = [c / 2 ** k for k, c in enumerate(sech)]
+    # R = L H0 = -L coth(L/2) eps H1: with the weight -2 at k = 0
+    # (R_1 = -2 H1), the source weights times tanh(y/2) give -y.
+    source = [_source_weight(k) for k in range(DEGREE + 1)]
+    assert source[0] == -2
+    assert power_product(source, tanh_half) == [0, -1] + [0] * (DEGREE - 1)
+    # h = sech(L/2) H0 = H0 + tanh(L/4) eps H1, since
+    # tanh(y/4) tanh(y/2) = 1 - sech(y/2).
+    weights = [_hermitian_weight(k) for k in range(DEGREE + 1)]
+    assert power_product(weights, tanh_half) == [int(k == 0) - c for k, c in enumerate(sech_half)]
+    # The composition-sum form R_j = sum_k q_k D[k][j], D[k] = L^k H0, is
+    # eps H1 = -tanh(L/2) H0 solved for its k = 1 term:
+    # q_k = -2 tanh_k / 2^k (and R_1 = -2 H1).
     for k in range(1, DEGREE + 1):
         assert q_coefficient(k) == -2 * tanh[k] / 2 ** k, k
 

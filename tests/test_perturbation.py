@@ -22,10 +22,10 @@ import pytest
 
 from qmetric.algebra import OperatorExpr, commutator, h0, h1
 from qmetric.errors import EngineError
-from qmetric.observables import _sech_coefficient
+from qmetric.observables import _hermitian_weight
 from qmetric.params import ParamPoly
-from qmetric.perturbation import (MetricParams, QSeries, bbj_compare, bbj_expansion,
-                                  build_r, derive_metric_series,
+from qmetric.perturbation import (MetricParams, QSeries, _source_weight,
+                                  bbj_compare, bbj_expansion, build_r, derive_metric_series,
                                   extend_one_order, homogeneous_q,
                                   q_coefficient, solve_commutator_equation,
                                   strip_x_free)
@@ -252,19 +252,29 @@ def test_recorded_sources_match_standalone_build_r():
 
 
 def test_streamed_column_matches_weighted_entries():
-    # Without `keep` a column's sums are regrouped into one commutator per
-    # Q_{m-i}; they must equal the kept entries D[k][m] weighted term by term.
-    table = derive_metric_series(MetricParams.formal(6))._table
-    coeffs = (q_coefficient, _sech_coefficient)
-    for m in range(2, 7):
-        streamed, entries = table.column(m, coeffs, keep=False)
-        assert entries == []
-        _, kept = table.column(m, (), keep=True)
-        assert len(kept) == m - 1
-        for c, got in zip(coeffs, streamed):
-            want = sum((d.scale(c(k)) for k, d in enumerate(kept, start=2) if c(k)),
-                       OperatorExpr.zero())
-            assert got == want, (m, c.__name__)
+    # A streamed sum is regrouped into one commutator per Q_s without
+    # forming the column's entries; it must equal the entries E[k][m]
+    # weighted term by term, through the column past the derived order.
+    odd_kappa = MetricParams.numeric(6, lam=[Fraction(3, 7)] * 6, kap=[Fraction(-2, 5)] * 6)
+    for params in (MetricParams.formal(6), odd_kappa):
+        table = derive_metric_series(params)._table
+        for m in range(2, params.order + 2):
+            for weight in (_source_weight, _hermitian_weight):
+                streamed = table.total(m, weight, streamed=True)
+                want = OperatorExpr.zero()
+                for k in range(m):
+                    if weight(k):
+                        want = want + table.entry(k, m).scale(weight(k))
+                assert streamed == want, (m, weight.__name__)
+
+
+def test_derive_leaves_the_unread_entries_unformed():
+    # R_{N-1} and R_N are streamed, and no order reads the even entries
+    # of column N-1, so an order-8 derive never forms its three largest.
+    memo = derive_metric_series(MetricParams.formal(8))._table.memo
+    assert not {(2, 7), (4, 7), (6, 7)} & set(memo)
+    assert {(1, 7), (3, 7), (5, 7)} <= set(memo)
+    assert not any(m == 8 for _, m in memo)
 
 
 def test_params_validation():
