@@ -18,13 +18,17 @@ e^kappa.
 A JSON config file (--config) may supply any long option of the chosen
 subcommand, spelled with underscores; explicit flags win.  Exit codes:
 0 success (flagged table deviations included), 1 broken engine invariant
-or failed verification, 2 bad command line or config file.
+or failed verification, 2 bad command line or config file, or output
+that could not be written to --out or stdout (a full device, a closed
+pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -41,6 +45,10 @@ __all__ = ["main"]
 
 
 class ConfigError(Exception):
+    pass
+
+
+class OutputError(Exception):
     pass
 
 
@@ -77,12 +85,29 @@ def _open_out(path: str):
         raise ConfigError(f"--out: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream for --out `path`, or stdout; a failed write raises OutputError."""
+    try:
+        if path:
+            with _open_out(path) as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
+    except OSError as exc:
+        if not path:
+            # The unwritten rest stays buffered; send it to the null device
+            # so the interpreter's flush at exit cannot fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise OutputError(f"{'--out ' + path if path else 'stdout'}: {exc}") from exc
+
+
 def _emit(ns, text: str) -> None:
-    if ns.out:
-        with _open_out(ns.out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(ns.out) as fh:
+        fh.write(text)
 
 
 def _param_echo(params: MetricParams) -> dict:
@@ -188,19 +213,20 @@ def _cmd_orbit(ns) -> int:
     hc = classical_limit(equivalent_hermitian(qs), mass=mass)
     orbit = integrate_orbit(hc, ns.epsilon, x0=ns.init_x, p0=ns.init_p, dt=ns.dt,
                             periods=ns.periods, max_steps=ns.steps)
-    if ns.out:
-        with _open_out(ns.out) as fh:
-            orbit.to_csv(fh)
-    else:
-        orbit.to_csv(sys.stdout)
-    summary = sys.stderr if not ns.out else sys.stdout
+    with _output(ns.out) as fh:
+        orbit.to_csv(fh)
     period = "none" if orbit.period is None else "%.12e" % orbit.period
     closure = "none" if orbit.closure is None else "%.12e" % orbit.closure
-    summary.write(f"period = {period}\n"
-                  f"closure = {closure}\n"
-                  f"energy drift = {orbit.energy_drift:.12e}\n"
-                  f"samples = {len(orbit.rows)}\n"
-                  f"pinch windows = {len(orbit.windows)}\n")
+    summary = (f"period = {period}\n"
+               f"closure = {closure}\n"
+               f"energy drift = {orbit.energy_drift:.12e}\n"
+               f"samples = {len(orbit.rows)}\n"
+               f"pinch windows = {len(orbit.windows)}\n")
+    if ns.out:
+        with _output(None) as fh:
+            fh.write(summary)
+    else:
+        sys.stderr.write(summary)
     return 0
 
 
@@ -409,6 +435,9 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)

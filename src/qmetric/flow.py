@@ -50,8 +50,22 @@ signed zeros included.  The powers stay `**` (x**5 * x is not x**6 bit
 for bit).  A property test checks the closed forms against the generic
 fold, and the tests pin the CSV bytes of two runs by SHA-256.
 
+Both stepping loops (t outside a window, x inside one) evaluate their
+RK4 stages and each sample's H in place rather than through `_rk4_t`,
+`_velocity`, `_energy` or a per-window closure, which costs a Python
+call per stage.  They keep the helpers' float operations operation for
+operation, in the same order, so every bit matches: only a product that
+Python forms left to right anyway is hoisted, such as 0.5 * dt (or
+0.5 * h) out of 0.5 * dt * k, and -9 m C out of -9 m C x^5 w^(1/3), and
+a value computed twice from the same operands (x + h/2 for the second
+and third window stages) is computed once.  A test steps a reference
+orbit through the helpers and requires the same samples, period,
+closure, drift and windows.
+
 The samples are stored as one interleaved `array('d')` of t, x, p, H,
-32 bytes per sample; `OrbitResult.rows` is a read-only view over it
+32 bytes per sample, each appended with `frombytes` as four native
+doubles packed by `struct` (the bytes `extend` would store, without its
+per-item loop); `OrbitResult.rows` is a read-only view over it
 that takes `len`, integer indices (negative ones too) and yields
 (t, x, p, H) tuples when iterated.
 
@@ -70,6 +84,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -86,6 +101,10 @@ try:
 except AttributeError:  # pragma: no cover
     def _cbrt(v: float) -> float:
         return math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+# One (t, x, p, H) sample as the bytes of four native doubles, which is
+# how array('d') stores them; frombytes takes it without a per-item loop.
+_pack_row = struct.Struct("4d").pack
 
 # Canonical shape (j, a, b) -> (coefficient, mass power): kinetic + sextic.
 _SEXTIC_SHAPE = {
@@ -219,24 +238,38 @@ def _traverse_pinch(field: FoldedHamiltonian, c: tuple, t: float, x: float,
         raise EngineError("pinch window entered with zero velocity")
     h = math.copysign(abs(xdot) * dt, xdot)
 
-    def f(xx: float, w: float) -> tuple[float, float]:
-        wc = _cbrt(w)
-        den = wc * wc - m_energy
-        return (-9.0 * m * c_sextic * xx ** 5 * wc / den,
-                m * wc / (2.0 * den))
-
+    # Each stage evaluates dw/dx = a x^5 w^(1/3) / den and
+    # dt/dx = m w^(1/3) / (2 den), den = w^(2/3) - mE, in place.
+    kh, ch = c[0], c[1]
+    a = -9.0 * m * c_sextic
+    half = 0.5 * h
+    add_row = samples.frombytes
     w = p ** 3
     max_inner = int(4.0 * abs(x) / abs(h)) + 64
     for steps in range(1, min(max_inner, budget) + 1):
-        k1w, k1t = f(x, w)
-        k2w, k2t = f(x + 0.5 * h, w + 0.5 * h * k1w)
-        k3w, k3t = f(x + 0.5 * h, w + 0.5 * h * k2w)
-        k4w, k4t = f(x + h, w + h * k3w)
+        wc = _cbrt(w)
+        den = wc * wc - m_energy
+        k1w = a * x ** 5 * wc / den
+        k1t = m * wc / (2.0 * den)
+        x5 = (x + half) ** 5
+        wc = _cbrt(w + half * k1w)
+        den = wc * wc - m_energy
+        k2w = a * x5 * wc / den
+        k2t = m * wc / (2.0 * den)
+        wc = _cbrt(w + half * k2w)
+        den = wc * wc - m_energy
+        k3w = a * x5 * wc / den
+        k3t = m * wc / (2.0 * den)
         x += h
+        wc = _cbrt(w + h * k3w)
+        den = wc * wc - m_energy
+        k4w = a * x ** 5 * wc / den
+        k4t = m * wc / (2.0 * den)
         w += h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
         t += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
         pw = _cbrt(w)
-        samples.extend((t, x, pw, _energy(c, x, pw) if pw != 0.0 else math.inf))
+        add_row(_pack_row(t, x, pw, 0.0 + kh * pw ** 2 + ch * x ** 6 * pw ** -2
+                          if pw != 0.0 else math.inf))
         if pw * pw >= threshold:
             return t, x, pw, steps
     if budget < max_inner:
@@ -295,6 +328,8 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
                max_steps: int) -> OrbitResult:
     m = field.mass
     c = _sextic_constants(field)
+    kh, ch, cx, kp, cp = c
+    half = 0.5 * dt
     if p0 is None:
         p0 = math.sqrt(2.0 * m)
     if p0 == 0.0:
@@ -307,6 +342,7 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
     gate = theta * m * e0
 
     samples = array("d", (t, x, p, e0))
+    add_row = samples.frombytes
     windows: list = []
     drift = 0.0
     start_on_section = x0 == 0.0 and p0 > 0.0
@@ -326,8 +362,21 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
             steps += taken
             windows.append((t_in, t))
             continue
+        # _rk4_t and then _energy, written out (see the module docstring).
         x_prev, p_prev = x, p
-        x, p = _rk4_t(c, x_prev, p_prev, dt)
+        k1x = 0.0 + kp * p + cp * x ** 6 * p ** -3
+        k1p = -(0.0 + cx * x ** 5 * p ** -2)
+        xa, pa = x_prev + half * k1x, p_prev + half * k1p
+        k2x = 0.0 + kp * pa + cp * xa ** 6 * pa ** -3
+        k2p = -(0.0 + cx * xa ** 5 * pa ** -2)
+        xa, pa = x_prev + half * k2x, p_prev + half * k2p
+        k3x = 0.0 + kp * pa + cp * xa ** 6 * pa ** -3
+        k3p = -(0.0 + cx * xa ** 5 * pa ** -2)
+        xa, pa = x_prev + dt * k3x, p_prev + dt * k3p
+        k4x = 0.0 + kp * pa + cp * xa ** 6 * pa ** -3
+        k4p = -(0.0 + cx * xa ** 5 * pa ** -2)
+        x = x_prev + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        p = p_prev + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
         t += dt
         steps += 1
         if x_prev < 0.0 <= x:
@@ -335,8 +384,8 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
             crossings.append((t - dt + tau, xs, ps))
             if len(crossings) >= needed:
                 t, x, p = crossings[-1][0], xs, ps
-        h_now = _energy(c, x, p)
-        samples.extend((t, x, p, h_now))
+        h_now = 0.0 + kh * p ** 2 + ch * x ** 6 * p ** -2
+        add_row(_pack_row(t, x, p, h_now))
         if p * p >= gate:
             drift = max(drift, abs(h_now / e0 - 1.0))
         if len(crossings) >= needed:

@@ -146,16 +146,18 @@ class _NestedCommutators:
     so E[k][m] vanishes unless m > k and reads only Q_1..Q_{m-1}.  H1 is
     anti-Hermitian and every Q_s Hermitian, so E[k][m] is anti-Hermitian
     for even k and Hermitian for odd k.  An entry is formed the first time
-    it is read and kept in `memo`; the Q_s only grow at the end of `q`,
-    so a kept entry stays valid while the table grows one order at a time.
+    it is read and kept in `memo`, and a weighted sum over a column the
+    first time it is read and kept in `sums`; the Q_s only grow at the end
+    of `q`, so both stay valid while the table grows one order at a time.
     """
 
-    __slots__ = ("h1", "q", "memo")
+    __slots__ = ("h1", "q", "memo", "sums")
 
     def __init__(self, h1_op, q=()):
         self.h1 = h1_op
         self.q = list(q)  # Q_1, Q_2, ...
         self.memo = {}    # (k, m) -> E[k][m]
+        self.sums = {}    # (m, weight, shift) -> sum_k weight(k + shift) E[k][m]
 
     def entry(self, k, m):
         if k == 0:
@@ -167,9 +169,18 @@ class _NestedCommutators:
         return e
 
     def _formed(self, m, weight, shift=0):
-        """sum_{k<m} weight(k + shift) E[k][m]; reads only entries of nonzero weight."""
-        return sum((self.entry(k, m).scale(w) for k in range(m) if (w := weight(k + shift))),
-                   OperatorExpr.zero())
+        """sum_{k<m} weight(k + shift) E[k][m]; reads only entries of nonzero weight.
+
+        The streamed sums of orders N-1, N and N+1 share the columns below
+        N-1 with the same weight and shift, so each such sum is formed once.
+        """
+        key = (m, weight, shift)
+        f = self.sums.get(key)
+        if f is None:
+            f = self.sums[key] = sum(
+                (self.entry(k, m).scale(w) for k in range(m) if (w := weight(k + shift))),
+                OperatorExpr.zero())
+        return f
 
     def total(self, m, weight, streamed=False):
         """sum_k weight(k) E[k][m].

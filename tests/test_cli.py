@@ -1,6 +1,7 @@
 """Command-line interface, exercised through real subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -236,6 +237,48 @@ def test_unwritable_out_is_exit_two(tmp_path):
         assert out.returncode == 2
         assert out.stderr.startswith("config error: --out: ")
         assert len(out.stderr.splitlines()) == 1
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this platform")
+
+
+def _one_output_error(out, target):
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"output error: {target}: ")
+    assert len(out.stderr.splitlines()) == 1  # no traceback, no "Exception ignored"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("args", [("orbit", "--periods", "2"),
+                                  ("derive", "--order", "3")])
+def test_failed_write_to_out_is_exit_two(args):
+    _one_output_error(run(*args, "--out", "/dev/full"), "--out /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("args", [("verify-tables",),
+                                  ("orbit", "--steps", "10", "--out", "{tmp}")])
+def test_failed_write_to_stdout_is_exit_two(tmp_path, args):
+    # with --out, orbit prints its summary on stdout
+    args = [a.format(tmp=tmp_path / "orbit.csv") for a in args]
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(CMD + args, stdout=full, stderr=subprocess.PIPE,
+                             text=True)
+    _one_output_error(out, "stdout")
+
+
+def test_closed_stdout_pipe_is_exit_two():
+    # about 1 MB of CSV, far more than a pipe holds, so a write must fail
+    proc = subprocess.Popen(CMD + ["orbit", "--periods", "2"], text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == "t,x,p,H\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    proc.wait(timeout=120)
+    _one_output_error(subprocess.CompletedProcess(proc.args, proc.returncode,
+                                                  None, err), "stdout")
 
 
 def test_config_accepts_integral_float(tmp_path):

@@ -10,14 +10,15 @@ import io
 import math
 import re
 import tracemalloc
+from array import array
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qmetric.errors import EngineError
-from qmetric.flow import (_energy, _sextic_constants, _velocity,
-                          integrate_orbit)
+from qmetric.flow import (_cbrt, _crossing_time, _energy, _rk4_t,
+                          _sextic_constants, _velocity, integrate_orbit)
 from qmetric.observables import (ClassicalHamiltonian, classical_limit,
                                  equivalent_hermitian)
 from qmetric.perturbation import MetricParams, derive_metric_series
@@ -282,3 +283,109 @@ def test_sample_memory_stays_flat(hc):
             tracemalloc.stop()
     assert len(out.rows) == 12_445
     assert peak <= 48 * len(out.rows)
+
+
+def _reference_window(field, c, t, x, p, dt, theta, samples, budget):
+    """The pinch window stepped through a closure per stage."""
+    m, eps = field.mass, field.epsilon
+    c_sextic = float(F(3, 8)) * m * eps * eps
+    m_energy = m * _energy(c, x, p)
+    threshold = theta * m_energy
+    xdot, _ = _velocity(c, x, p)
+    h = math.copysign(abs(xdot) * dt, xdot)
+
+    def f(xx, w):
+        wc = _cbrt(w)
+        den = wc * wc - m_energy
+        return (-9.0 * m * c_sextic * xx ** 5 * wc / den,
+                m * wc / (2.0 * den))
+
+    w = p ** 3
+    max_inner = int(4.0 * abs(x) / abs(h)) + 64
+    for steps in range(1, min(max_inner, budget) + 1):
+        k1w, k1t = f(x, w)
+        k2w, k2t = f(x + 0.5 * h, w + 0.5 * h * k1w)
+        k3w, k3t = f(x + 0.5 * h, w + 0.5 * h * k2w)
+        k4w, k4t = f(x + h, w + h * k3w)
+        x += h
+        w += h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
+        t += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
+        pw = _cbrt(w)
+        samples.extend((t, x, pw, _energy(c, x, pw) if pw != 0.0 else math.inf))
+        if pw * pw >= threshold:
+            return t, x, pw, steps
+    assert budget < max_inner
+    return None
+
+
+def _reference_orbit(hc, epsilon, x0=0.0, p0=None, dt=1e-3, periods=1,
+                     theta=0.4, max_steps=2_000_000):
+    """The orbit stepped by _rk4_t, with H from _energy, sample by sample."""
+    field = hc.at(epsilon)
+    m, c = field.mass, _sextic_constants(field)
+    if p0 is None:
+        p0 = math.sqrt(2.0 * m)
+    t, x, p = 0.0, float(x0), float(p0)
+    e0 = _energy(c, x, p)
+    gate = theta * m * e0
+    samples = array("d", (t, x, p, e0))
+    windows, drift = [], 0.0
+    crossings = [(t, x, p)] if x0 == 0.0 and p0 > 0.0 else []
+    needed = periods + 1
+    steps = 0
+    while steps < max_steps:
+        if p * p < gate and x * p > 0.0:
+            t_in = t
+            state = _reference_window(field, c, t, x, p, dt, theta, samples,
+                                      max_steps - steps)
+            if state is None:
+                break
+            t, x, p, taken = state
+            steps += taken
+            windows.append((t_in, t))
+            continue
+        x_prev, p_prev = x, p
+        x, p = _rk4_t(c, x_prev, p_prev, dt)
+        t += dt
+        steps += 1
+        if x_prev < 0.0 <= x:
+            tau, xs, ps = _crossing_time(c, x_prev, p_prev, dt)
+            crossings.append((t - dt + tau, xs, ps))
+            if len(crossings) >= needed:
+                t, x, p = crossings[-1][0], xs, ps
+        h_now = _energy(c, x, p)
+        samples.extend((t, x, p, h_now))
+        if p * p >= gate:
+            drift = max(drift, abs(h_now / e0 - 1.0))
+        if len(crossings) >= needed:
+            break
+    period = closure = None
+    if len(crossings) >= needed:
+        (t_a, x_a, p_a), (t_b, x_b, p_b) = crossings[0], crossings[-1]
+        period = (t_b - t_a) / periods
+        closure = math.hypot(x_b - x_a, p_b - p_a)
+    return samples.tobytes(), period, closure, drift, tuple(windows)
+
+
+@pytest.mark.parametrize("mass,kw", [
+    (F(1), {}),                                              # default orbit
+    (F(3, 2), {"epsilon": 0.2, "x0": 0.3, "dt": 0.0037}),    # mass != 1
+    (F(7), {"x0": -1.1, "p0": 0.7, "dt": 2e-3}),             # negative x0
+    (F(2, 7), {"x0": -0.4, "dt": 1e-2, "periods": 3}),
+    (F(1), {"x0": -0.4, "dt": 1e-2, "periods": 3}),
+    (F(1), {"epsilon": 0.0, "max_steps": 500}),              # free motion
+    (F(1), {"dt": 1e-2, "max_steps": 229}),                  # budget in a window
+    (F(1), {"x0": 1.0, "p0": 0.1, "dt": 1e-6, "max_steps": 1000}),  # starts in one
+    (F(3, 2), {"x0": 1.0, "p0": 0.1, "dt": 1e-6, "max_steps": 1000}),
+    (F(1), {"dt": 1e-2, "max_steps": 150}),                  # budget outside one
+])
+def test_fused_stepper_matches_reference(hc, mass, kw):
+    # The two stepping loops evaluate the closed forms in place; they
+    # must reproduce, bit for bit, the same steps built from the helpers.
+    kw = {"epsilon": 0.1, **kw}
+    ham = hc if mass == 1 else classical_limit(equivalent_hermitian(
+        derive_metric_series(MetricParams.formal(2))), mass=mass)
+    out = integrate_orbit(ham, **kw)
+    got = (out.rows._samples.tobytes(), out.period, out.closure,
+           out.energy_drift, out.windows)
+    assert got == _reference_orbit(ham, **kw)

@@ -277,6 +277,19 @@ def test_derive_leaves_the_unread_entries_unformed():
     assert not any(m == 8 for _, m in memo)
 
 
+def test_streamed_orders_reuse_kept_column_sums():
+    # R_{N-1} and R_N sum the same weighted entries over columns 1..N-2,
+    # and the extension's R_{N+1} over columns 1..N: each sum is formed
+    # once, kept on the table and read again.
+    qs = derive_metric_series(MetricParams.formal(6))
+    sums = qs._table.sums
+    assert {m for m, _, shift in sums if shift == 1} == set(range(1, 6))
+    kept = dict(sums)
+    extend_one_order(qs)
+    assert {m for m, _, shift in sums if shift == 1} == set(range(1, 7))
+    assert all(sums[key] is f for key, f in kept.items())
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MetricParams.numeric(0)
