@@ -298,7 +298,7 @@ def h1() -> OperatorExpr:
 
 def commutator(a: OperatorExpr, b: OperatorExpr, k: int = 1) -> OperatorExpr:
     """Nested commutator [a, b]_k = [[...[a,b],b...],b] (k times)."""
-    if k < 0:
+    if require_int("commutator nesting", k) < 0:
         raise ValueError("commutator nesting must be >= 0")
     out = a
     for _ in range(k):

@@ -19,8 +19,8 @@ A JSON config file (--config) may supply any long option of the chosen
 subcommand, spelled with underscores; explicit flags win.  Exit codes:
 0 success (flagged table deviations included), 1 broken engine invariant
 or failed verification, 2 bad command line or config file, or output
-that could not be written to --out or stdout (a full device, a closed
-pipe).
+(help included) that could not be written to --out or stdout; a stderr
+that cannot take the one-line diagnostic leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ class ConfigError(Exception):
 
 class OutputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Lets a failed write of help text reach ``_output``; argparse drops it."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
 
 _PARAM_FLAGS = ("l1", "l2", "l3", "k1", "k2", "k3")
@@ -85,6 +94,13 @@ def _open_out(path: str):
         raise ConfigError(f"--out: {exc}") from exc
 
 
+def _discard(stream) -> None:
+    """Point `stream` at the null device, so its buffered rest cannot fail again at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
     """The stream for --out `path`, or stdout; a failed write raises OutputError."""
@@ -97,11 +113,7 @@ def _output(path: str | None):
             sys.stdout.flush()
     except OSError as exc:
         if not path:
-            # The unwritten rest stays buffered; send it to the null device
-            # so the interpreter's flush at exit cannot fail a second time.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _discard(sys.stdout)
         raise OutputError(f"{'--out ' + path if path else 'stdout'}: {exc}") from exc
 
 
@@ -301,7 +313,7 @@ def _add_common(sp, func, fmt: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmetric",
         description="Exact perturbative metric operators for p^2/2 + i eps x^3.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -424,24 +436,31 @@ def _apply_config(ns, parser: argparse.ArgumentParser) -> None:
             setattr(ns, key, value)
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Print the one-line diagnostic if stderr takes it; return `code` either way."""
+    try:
+        print(f"{kind} error: {exc}", file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        with _output(None):  # --help writes to stdout
+            ns = parser.parse_args(argv)
         _apply_config(ns, parser)
         top = _MAX_ORDER.get(ns.command, 6)
         if getattr(ns, "order", None) is not None and not 1 <= ns.order <= top:
             raise ConfigError(f"--order: {ns.order} is outside 1..{top} for {ns.command}")
         return ns.func(ns)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("config", exc, 2)
     except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("output", exc, 2)
     except EngineError as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("engine", exc, 1)
 
 
 if __name__ == "__main__":

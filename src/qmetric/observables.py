@@ -1,14 +1,10 @@
 """Physical observables, the equivalent Hermitian Hamiltonian, and the
 classical limit.
 
-Conjugation by the metric square root is carried out order by order on
-formal power series of operators: e^{sQ/2} A e^{-sQ/2} =
-sum_k (s/2)^k/k! ad_Q^k(A), which terminates at each series order
-because Q starts at order one.  The top order is summed over k before
-it is commuted, so it costs one kernel call over the pairs (Q_s, F_{n-s}).
-The Hamiltonian needs no conjugation: by the defining relation it is
-H0 + tanh(L/4) eps H1, L X = [X, Q], a sum over the nested commutators
-of H1 that the derivation already tabulated.
+With L X = [X, Q], the dressed observables e^{Q/2} A e^{-Q/2} = e^{-L/2} A
+and the Hermitian Hamiltonian H0 + tanh(L/4) eps H1 are weighted sums of
+the nested commutators of ``series.NestedCommutators``: X and P from a
+table seeded with x and p, h from the one the derivation already holds.
 """
 
 from __future__ import annotations
@@ -17,39 +13,31 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import OperatorExpr, commutator_sum, h0, symmetric_form
+from .algebra import OperatorExpr, h0, require_int, symmetric_form
 from .errors import EngineError
 from .perturbation import QSeries, _extension, _source_weight
-from .series import SeriesExpr, series_commutator
+from .series import NestedCommutators, SeriesExpr
 
 
 def conjugate_by_sqrt_metric(a: SeriesExpr, q: SeriesExpr, sign: int = 1) -> SeriesExpr:
     """e^{sign*Q/2} A e^{-sign*Q/2} truncated to n = min(a.order, q.order).
 
     sign=+1 dresses a bare operator into its physical counterpart, -1 undresses.
-    Q must vanish at order 0.  With c_k = (sign/2)^k / k! the result is
-    sum_k c_k ad_Q^k(A), ad_Q X = [Q, X]; orders below n are summed term by
-    term.  Order n needs only the weighted sum, so by linearity it is
-    A_n + sum_{s=1..n} [Q_s, F_{n-s}] with F = sum_{k=1..n} c_k ad_Q^{k-1}(A):
-    one kernel call over the pairs (Q_s, F_{n-s}).
+    Q must vanish at order 0.  The result is e^{-sign*L/2} A: the weights
+    (-sign/2)^k / k! on a table seeded with A, order n streamed.
     """
-    if sign not in (1, -1):
+    if require_int("sign", sign) not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not q.coeff(0).is_zero():
         raise ValueError("Q must vanish at order 0")
     n = min(a.order, q.order)
-    if n == 0:
-        return a.truncate(0)
-    c = [Fraction(sign ** k, 2 ** k * math.factorial(k)) for k in range(n + 1)]
-    out = term = a.truncate(n - 1)
-    weighted = term.scale(c[1])
-    for k in range(1, n):
-        term = series_commutator(q, term)
-        out = out + term.scale(c[k])
-        weighted = weighted + term.scale(c[k + 1])
-    top = a.coeff(n) + commutator_sum((q.coeff(s), weighted.coeff(n - s))
-                                      for s in range(1, n + 1))
-    return SeriesExpr(n, {**{j: out.coeff(j) for j in out.indices()}, n: top})
+    table = NestedCommutators({j: a.coeff(j) for j in a.indices()},
+                              [q.coeff(s) for s in range(1, n + 1)])
+
+    def weight(k):
+        return Fraction((-sign) ** k, 2 ** k * math.factorial(k))
+
+    return SeriesExpr(n, {m: table.total(m, weight, streamed=m == n) for m in range(n + 1)})
 
 
 def observable_x(qs: QSeries) -> SeriesExpr:
@@ -167,6 +155,8 @@ def classical_limit(h: SeriesExpr, mass: Fraction = Fraction(1)) -> ClassicalHam
     diverge and is rejected as an internal error, as is any surviving
     free parameter or parity term.
     """
+    if mass <= 0:
+        raise ValueError(f"mass must be positive, got {mass}")
     collected = []
     for j in range(h.order + 1):
         expr = h.coeff(j)

@@ -6,13 +6,11 @@ Q_j Hermitian.  Order j is obtained in three steps:
 1. ``build_r``: assemble the right-hand side R_j of [H0, Q_j] = R_j from
    the already-solved lower orders.  With L X = [X, Q] the defining
    relation reads tanh(L/2) H0 = -eps H1, so R = L H0 = -L coth(L/2) eps H1
-   is a Bernoulli-weighted sum of the entries E[k][j], the eps^j
-   coefficients of the nested commutators L^k(eps H1).  An entry reads
-   only earlier columns and is formed the first time it is read, once
-   per derivation; the extension and ``equivalent_hermitian`` reuse it.
-   A sum over a column whose entries no later order reads (R_{N-1}, R_N,
-   and R_{N+1}, h_{N+1} in the extension) is summed before it is
-   commuted, one kernel call over the pairs (F_s, Q_s).
+   is a Bernoulli-weighted sum of the entries E[k][j] of the table
+   ``series.NestedCommutators`` seeded with eps H1.  The derived series
+   keeps its table for the extension and ``equivalent_hermitian``; the
+   columns no later order reads (R_{N-1}, R_N, and R_{N+1}, h_{N+1} in
+   the extension) are streamed.
 2. ``solve_commutator_equation``: produce one particular Hermitian
    solution by descending-x-degree elimination, in integers.
 3. ``canonical_q``: move every x-free piece of the particular solution
@@ -35,11 +33,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import backend as _b
-from .algebra import OperatorExpr, commutator, commutator_sum, h0, h1, scaling_degree
+from .algebra import OperatorExpr, commutator, h0, h1, require_int, scaling_degree
 from .errors import EngineError
 from .params import ParamPoly
 from .rational import I_POWERS
-from .series import SeriesExpr
+from .series import NestedCommutators, SeriesExpr
 
 DEFAULT_WEIGHT = 5
 
@@ -104,7 +102,7 @@ class MetricParams:
     kap: tuple[ParamPoly, ...]
 
     def __post_init__(self):
-        if self.order < 1:
+        if require_int("order", self.order) < 1:
             raise ValueError("order must be >= 1")
         if len(self.lam) != self.order or len(self.kap) != self.order:
             raise ValueError("parameter lists must have one entry per order")
@@ -114,12 +112,14 @@ class MetricParams:
 
     @classmethod
     def formal(cls, order: int) -> "MetricParams":
+        require_int("order", order)
         lam = tuple(ParamPoly.symbol(f"l{j}") for j in range(1, order + 1))
         kap = tuple(ParamPoly.symbol(f"k{j}") for j in range(1, order + 1))
         return cls(order, lam, kap)
 
     @classmethod
     def numeric(cls, order: int, lam: Sequence | None = None, kap: Sequence | None = None) -> "MetricParams":
+        require_int("order", order)
         lam = list(lam or [])
         kap = list(kap or [])
         lam += [Fraction(0)] * (order - len(lam))
@@ -137,69 +137,6 @@ class MetricParams:
 
 # ---------------------------------------------------------------------------
 # the three pipeline stages
-
-
-class _NestedCommutators:
-    """Entries E[k][m], the eps^m coefficient of L^k(eps H1), L X = [X, Q].
-
-    E[0][1] = H1 and, for k >= 1, E[k][m] = sum_{s=1..m-k} [E[k-1][m-s], Q_s],
-    so E[k][m] vanishes unless m > k and reads only Q_1..Q_{m-1}.  H1 is
-    anti-Hermitian and every Q_s Hermitian, so E[k][m] is anti-Hermitian
-    for even k and Hermitian for odd k.  An entry is formed the first time
-    it is read and kept in `memo`, and a weighted sum over a column the
-    first time it is read and kept in `sums`; the Q_s only grow at the end
-    of `q`, so both stay valid while the table grows one order at a time.
-    """
-
-    __slots__ = ("h1", "q", "memo", "sums")
-
-    def __init__(self, h1_op, q=()):
-        self.h1 = h1_op
-        self.q = list(q)  # Q_1, Q_2, ...
-        self.memo = {}    # (k, m) -> E[k][m]
-        self.sums = {}    # (m, weight, shift) -> sum_k weight(k + shift) E[k][m]
-
-    def entry(self, k, m):
-        if k == 0:
-            return self.h1 if m == 1 else OperatorExpr.zero()
-        e = self.memo.get((k, m))
-        if e is None:
-            e = self.memo[k, m] = commutator_sum(
-                (self.entry(k - 1, m - s), self.q[s - 1]) for s in range(1, m - k + 1))
-        return e
-
-    def _formed(self, m, weight, shift=0):
-        """sum_{k<m} weight(k + shift) E[k][m]; reads only entries of nonzero weight.
-
-        The streamed sums of orders N-1, N and N+1 share the columns below
-        N-1 with the same weight and shift, so each such sum is formed once.
-        """
-        key = (m, weight, shift)
-        f = self.sums.get(key)
-        if f is None:
-            f = self.sums[key] = sum(
-                (self.entry(k, m).scale(w) for k in range(m) if (w := weight(k + shift))),
-                OperatorExpr.zero())
-        return f
-
-    def total(self, m, weight, streamed=False):
-        """sum_k weight(k) E[k][m].
-
-        Streamed, no entry of column m is formed, for a column no later
-        order reads: by linearity the sum is sum_{s=1..m-1} [F_s, Q_s]
-        with F_s = sum_k weight(k) E[k-1][m-s], one kernel call over the
-        pairs, so its terms are summed in integers and reduced once.
-        """
-        if not streamed or m == 1:  # the k = 0 term, E[0][1] = H1, is no commutator
-            return self._formed(m, weight)
-        return commutator_sum((self._formed(m - s, weight, 1), self.q[s - 1])
-                              for s in range(1, m))
-
-    def check_relation(self):
-        """Raise at the first m with [H0, Q_m] != R_m from this table."""
-        for m, q in enumerate(self.q, start=1):
-            if commutator(h0(), q) != self.total(m, _source_weight):
-                raise EngineError(f"order {m}: [H0, Q_m] differs from R_m")
 
 
 def _source(j, table, weight, streamed):
@@ -225,11 +162,11 @@ def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None 
     equals sum_{k=2..j} q_k * sum_{s_1+...+s_k=j} [[..[H0, Q_{s_1}].., Q_{s_k}]].
     ``derive_metric_series`` runs the same code on its growing table.
     """
-    if j < 1:
+    if require_int("order", j) < 1:
         raise ValueError("order must be >= 1")
     if len(prior_q) < j - 1:
         raise ValueError(f"order {j} needs all lower orders, got {len(prior_q)}")
-    table = _NestedCommutators(h1() if h1_op is None else h1_op, prior_q[:j - 1])
+    table = NestedCommutators({1: h1() if h1_op is None else h1_op}, prior_q[:j - 1])
     return _source(j, table, weight, streamed=True)
 
 
@@ -381,7 +318,7 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
                          weight: int = DEFAULT_WEIGHT) -> QSeries:
     """Run the full pipeline for orders 1..params.order."""
     records: list[OrderRecord] = []
-    table = _NestedCommutators(h1() if h1_op is None else h1_op)
+    table = NestedCommutators({1: h1() if h1_op is None else h1_op})
     for j in range(1, params.order + 1):
         try:
             # No later order reads the even entries of columns N-1 and N.
@@ -404,12 +341,14 @@ def _extension(qs, weight=None):
     or {} without `weight`), from the series' table, or from a fresh one checked
     against [H0, Q_m] = R_m for a series built by hand; column N+1 is streamed."""
     j = qs.order + 1
-    table = qs._table if qs._table is not None else _NestedCommutators(qs.h1_op, qs.q_list())
+    table = qs._table if qs._table is not None else NestedCommutators({1: qs.h1_op}, qs.q_list())
     stripped = strip_x_free(_solve(_source(j, table, qs.weight, streamed=True)), j, qs.weight)[0]
     if weight is None:
         return stripped, {}
     if qs._table is None:
-        table.check_relation()
+        for m, q in enumerate(table.q, start=1):
+            if commutator(h0(), q) != table.total(m, _source_weight):
+                raise EngineError(f"order {m}: [H0, Q_m] differs from R_m")
     return stripped, {m: table.total(m, weight, streamed=m == j) for m in range(1, j + 1)}
 
 

@@ -1,4 +1,5 @@
-"""Finite truncated power series in the perturbation strength.
+"""Truncated power series in the perturbation strength, and their nested
+commutators with the metric generator.
 
 Coefficients are :class:`~qmetric.algebra.OperatorExpr`; the grading index
 is the power of the (real) expansion parameter.  All binary operations
@@ -116,3 +117,53 @@ def series_commutator(a: SeriesExpr, b: SeriesExpr) -> SeriesExpr:
             if j1 + j2 <= n:
                 by_order.setdefault(j1 + j2, []).append((e1, e2))
     return SeriesExpr(n, {j: commutator_sum(pairs) for j, pairs in by_order.items()})
+
+
+class NestedCommutators:
+    """Entries E[k][m], the eps^m coefficient of L^k(A), L X = [X, Q].
+
+    The seed A = {m: A_m} has lowest order lo: 1 for eps H1 (the source R
+    and h), 0 for a bare operator (X and P).  E[0][m] = A_m and E[k][m] =
+    sum_{s=1..m-k-lo+1} [E[k-1][m-s], Q_s], zero unless m >= k + lo.  An
+    entry is kept in `memo` and a weighted column sum (weight: k -> weight
+    of E[k]) in `sums`, each formed when first read; the Q_s only grow at
+    the end of `q`, so both stay valid as the table grows.
+    """
+
+    __slots__ = ("seed", "lo", "q", "memo", "sums")
+
+    def __init__(self, seed, q=()):
+        self.seed = dict(seed)
+        self.lo = min(self.seed, default=0)
+        self.q = list(q)  # Q_1, Q_2, ...
+        self.memo = {}    # (k, m) -> E[k][m]
+        self.sums = {}    # (m, weight, shift) -> sum_k weight(k + shift) E[k][m]
+
+    def entry(self, k, m):
+        if k == 0:
+            return self.seed.get(m, OperatorExpr.zero())
+        e = self.memo.get((k, m))
+        if e is None:
+            e = self.memo[k, m] = commutator_sum(
+                (self.entry(k - 1, m - s), self.q[s - 1]) for s in range(1, m - k - self.lo + 2))
+        return e
+
+    def _formed(self, m, weight, shift=0):
+        """sum_k weight(k + shift) E[k][m], over the entries of nonzero weight."""
+        key = (m, weight, shift)
+        f = self.sums.get(key)
+        if f is None:
+            f = self.sums[key] = sum(
+                (self.entry(k, m).scale(w)
+                 for k in range(m - self.lo + 1) if (w := weight(k + shift))),
+                OperatorExpr.zero())
+        return f
+
+    def total(self, m, weight, streamed=False):
+        """sum_k weight(k) E[k][m].  Streamed, for a column no later order
+        reads, it is weight(0) A_m + sum_{s=1..m-lo} [F_s, Q_s] with F_s =
+        sum_k weight(k + 1) E[k][m-s], one kernel call that forms no E[k][m]."""
+        if not streamed:
+            return self._formed(m, weight)
+        return self.entry(0, m).scale(weight(0)) + commutator_sum(
+            (self._formed(m - s, weight, 1), self.q[s - 1]) for s in range(1, m - self.lo + 1))

@@ -268,6 +268,34 @@ def test_failed_write_to_stdout_is_exit_two(tmp_path, args):
     _one_output_error(out, "stdout")
 
 
+# Buffered standard streams, as without PYTHONUNBUFFERED: a failed write
+# leaves its rest buffered for the interpreter's flush at exit.
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@needs_dev_full
+@pytest.mark.parametrize("args", [("--help",), ("derive", "--help")])
+def test_failed_help_write_is_exit_two(args):
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(CMD + list(args), stdout=full, stderr=subprocess.PIPE,
+                             text=True, env=BUFFERED)
+    _one_output_error(out, "stdout")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("args, code", [
+    (("derive", "--order", "9"), 2),                      # config error
+    (("orbit", "--epsilon=nan", "--steps", "100"), 1),    # engine error
+    (("verify-tables", "--out", "/dev/full"), 2),         # output error
+])
+def test_unwritable_stderr_keeps_exit_code(args, code):
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(CMD + list(args), stdout=subprocess.PIPE, stderr=full,
+                             text=True, env=BUFFERED)
+    assert out.returncode == code
+    assert out.stdout == ""
+
+
 def test_closed_stdout_pipe_is_exit_two():
     # about 1 MB of CSV, far more than a pipe holds, so a write must fail
     proc = subprocess.Popen(CMD + ["orbit", "--periods", "2"], text=True,

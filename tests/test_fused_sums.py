@@ -1,8 +1,10 @@
 """The one-call sums of commutators and products against the per-pair
 loops they replaced: series_commutator, the nested-commutator entries
-E[k][m], and the adjoint.  Exact arithmetic makes regrouping a sum
-exact, so the results must be equal."""
+E[k][m] of the derivation's and the dressing's tables, and the adjoint.
+Exact arithmetic makes regrouping a sum exact, so the results must be
+equal."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from qmetric import _core_py as core
 from qmetric.algebra import OperatorExpr, commutator
 from qmetric.observables import equivalent_hermitian, observable_p, observable_x
 from qmetric.perturbation import MetricParams, derive_metric_series
-from qmetric.series import SeriesExpr, series_commutator
+from qmetric.series import NestedCommutators, SeriesExpr, series_commutator
 
 
 def looped_series_commutator(a, b):
@@ -31,7 +33,7 @@ def looped_series_commutator(a, b):
 def looped_entry(table, k, m):
     """E[k][m] as a rational sum of one commutator per pair."""
     return sum((commutator(table.entry(k - 1, m - s), table.q[s - 1])
-                for s in range(1, m - k + 1)), OperatorExpr.zero())
+                for s in range(1, m - k - table.lo + 2)), OperatorExpr.zero())
 
 
 def looped_adjoint(expr):
@@ -69,14 +71,34 @@ def test_series_commutator_matches_per_pair_loop(derived):
         assert series_commutator(a, b) == looped_series_commutator(a, b)
 
 
+def _assert_kept_entries(table, top):
+    """The memo holds every entry of columns 0..top, each equal to its loop."""
+    lo = table.lo
+    assert set(table.memo) == {(k, m) for m in range(top + 1) for k in range(1, m - lo + 1)}
+    for (k, m), entry in table.memo.items():
+        assert entry == looped_entry(table, k, m), (k, m)
+
+
 def test_kept_column_entries_match_per_pair_loop(derived):
     qs = derived[0]
-    n = qs.order
     equivalent_hermitian(qs)  # forms every entry of columns 1..n
-    memo = qs._table.memo
-    assert set(memo) == {(k, m) for m in range(2, n + 1) for k in range(1, m)}
-    for (k, m), entry in memo.items():
-        assert entry == looped_entry(qs._table, k, m), (k, m)
+    _assert_kept_entries(qs._table, qs.order)
+
+
+@pytest.mark.parametrize("seed", ["x", "p + eps^2 x"])
+def test_dressing_table_entries_match_per_pair_loop(derived, seed):
+    # Filled as conjugate_by_sqrt_metric fills it: columns 0..n-1 formed,
+    # order n streamed.
+    qs = derived[0]
+    x, p = OperatorExpr.x_power(1), OperatorExpr.p_power(1)
+    table = NestedCommutators({0: x} if seed == "x" else {0: p, 2: x}, qs.q_list())
+
+    def weight(k):
+        return Fraction(1, 2 ** k * math.factorial(k))
+
+    for m in range(qs.order + 1):
+        table.total(m, weight, streamed=m == qs.order)
+    _assert_kept_entries(table, qs.order - 1)
 
 
 def test_adjoint_matches_per_group_loop(derived):

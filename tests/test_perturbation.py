@@ -30,7 +30,7 @@ from qmetric.perturbation import (MetricParams, QSeries, _source_weight,
                                   q_coefficient, solve_commutator_equation,
                                   strip_x_free)
 from qmetric.rational import GaussianRational
-from qmetric.series import SeriesExpr
+from qmetric.series import NestedCommutators, SeriesExpr
 
 
 # -- q_k: Taylor coefficients of -2 tanh(x/2) --------------------------------
@@ -255,17 +255,25 @@ def test_streamed_column_matches_weighted_entries():
     # A streamed sum is regrouped into one commutator per Q_s without
     # forming the column's entries; it must equal the entries E[k][m]
     # weighted term by term, through the column past the derived order.
+    # The dressing's table is seeded with x at order 0 and read with the
+    # weights (-1/2)^k / k! of e^{-L/2}, for orders 0..N.
+    def conjugation(k):
+        return Fraction((-1) ** k, 2 ** k * math.factorial(k))
+
     odd_kappa = MetricParams.numeric(6, lam=[Fraction(3, 7)] * 6, kap=[Fraction(-2, 5)] * 6)
     for params in (MetricParams.formal(6), odd_kappa):
         table = derive_metric_series(params)._table
-        for m in range(2, params.order + 2):
-            for weight in (_source_weight, _hermitian_weight):
-                streamed = table.total(m, weight, streamed=True)
-                want = OperatorExpr.zero()
-                for k in range(m):
-                    if weight(k):
-                        want = want + table.entry(k, m).scale(weight(k))
-                assert streamed == want, (m, weight.__name__)
+        dressing = NestedCommutators({0: OperatorExpr.x_power(1)}, table.q)
+        cases = [(table, m, weight) for m in range(2, params.order + 2)
+                 for weight in (_source_weight, _hermitian_weight)]
+        cases += [(dressing, m, conjugation) for m in range(params.order + 1)]
+        for t, m, weight in cases:
+            streamed = t.total(m, weight, streamed=True)
+            want = OperatorExpr.zero()
+            for k in range(m - t.lo + 1):
+                if weight(k):
+                    want = want + t.entry(k, m).scale(weight(k))
+            assert streamed == want, (m, weight.__name__)
 
 
 def test_derive_leaves_the_unread_entries_unformed():
