@@ -15,12 +15,15 @@ two flags are reused with a different meaning, documented in their help
 text: --l1 is the overall scale e^-lambda and --k1 the parity ratio
 e^kappa.
 
-A JSON config file (--config) may supply any long option of the chosen
-subcommand, spelled with underscores; explicit flags win.  Exit codes:
-0 success (flagged table deviations included), 1 broken engine invariant
-or failed verification, 2 bad command line or config file, or output
-(help included) that could not be written to --out or stdout; a stderr
-that cannot take the one-line diagnostic leaves the exit code as it is.
+Each option comes from its flag, else from a JSON config file (--config,
+any long option of the chosen subcommand spelled with underscores), else
+from the parser's default.  A config value is checked as its flag would
+be, even when a flag overrides it, and an empty value is an error.
+Every failure prints one stderr line.  Exit codes: 0 success (flagged
+table deviations included), 1 broken engine invariant or failed
+verification, 2 bad command line or config file, or output (help
+included) that could not be written to --out or stdout; a stderr that
+cannot take the one-line diagnostic leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -53,12 +56,16 @@ class OutputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Lets a failed write of help text reach ``_output``; argparse drops it."""
+    """Lets a failed write of help text reach ``_output``, where argparse
+    would drop it, and turns a usage error into one ConfigError line."""
 
     def print_help(self, file=None):
         file = file or sys.stdout
         file.write(self.format_help())
         file.flush()
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 _PARAM_FLAGS = ("l1", "l2", "l3", "k1", "k2", "k3")
@@ -78,9 +85,9 @@ def _param_value(text: str, flag: str):
 
 
 def _metric_params(ns, order: int) -> MetricParams:
-    lam = [_param_value(getattr(ns, f"l{j}") or "formal", f"--l{j}")
+    lam = [_param_value(getattr(ns, f"l{j}"), f"--l{j}")
            for j in range(1, min(order, 3) + 1)]
-    kap = [_param_value(getattr(ns, f"k{j}") or "formal", f"--k{j}")
+    kap = [_param_value(getattr(ns, f"k{j}"), f"--k{j}")
            for j in range(1, min(order, 3) + 1)]
     lam += ["formal"] * (order - len(lam))
     kap += ["formal"] * (order - len(kap))
@@ -105,16 +112,16 @@ def _discard(stream) -> None:
 def _output(path: str | None):
     """The stream for --out `path`, or stdout; a failed write raises OutputError."""
     try:
-        if path:
+        if path is not None:
             with _open_out(path) as fh:
                 yield fh
         else:
             yield sys.stdout
             sys.stdout.flush()
     except OSError as exc:
-        if not path:
+        if path is None:
             _discard(sys.stdout)
-        raise OutputError(f"{'--out ' + path if path else 'stdout'}: {exc}") from exc
+        raise OutputError(f"{'stdout' if path is None else '--out ' + path}: {exc}") from exc
 
 
 def _emit(ns, text: str) -> None:
@@ -215,9 +222,6 @@ def _cmd_classical(ns) -> int:
 def _cmd_orbit(ns) -> int:
     from .flow import integrate_orbit
 
-    if ns.order != 2:
-        raise ConfigError("--order: the orbit integrator uses the order-2"
-                          " classical Hamiltonian")
     mass = _rational(ns.mass, "--mass")
     if mass <= 0:
         raise ConfigError(f"--mass: {ns.mass!r} is not positive")
@@ -234,7 +238,7 @@ def _cmd_orbit(ns) -> int:
                f"energy drift = {orbit.energy_drift:.12e}\n"
                f"samples = {len(orbit.rows)}\n"
                f"pinch windows = {len(orbit.windows)}\n")
-    if ns.out:
+    if ns.out is not None:
         with _output(None) as fh:
             fh.write(summary)
     else:
@@ -250,8 +254,8 @@ def _parity_text(pl) -> str:
 
 
 def _cmd_free(ns) -> int:
-    scale = _rational(ns.l1 or "1", "--l1")
-    ratio = _rational(ns.k1 or "2", "--k1")
+    scale = _rational(ns.l1, "--l1")
+    ratio = _rational(ns.k1, "--k1")
     if scale <= 0:
         raise ConfigError(f"--l1: scale {ns.l1!r} is not positive")
     if ratio <= 0:
@@ -297,9 +301,9 @@ def _cmd_free(ns) -> int:
 def _add_param_flags(sp) -> None:
     for name in _PARAM_FLAGS:
         kind = "plain" if name[0] == "l" else "parity"
-        sp.add_argument(f"--{name}", metavar="RAT",
+        sp.add_argument(f"--{name}", metavar="RAT", default="formal",
                         help=f"order-{name[1]} {kind} amplitude"
-                             " (rational or 'formal'; default formal)")
+                             " (rational or 'formal'; default %(default)s)")
 
 
 def _add_common(sp, func, fmt: bool = True) -> None:
@@ -307,8 +311,8 @@ def _add_common(sp, func, fmt: bool = True) -> None:
                     help="JSON file with defaults for this subcommand")
     sp.add_argument("--out", metavar="FILE", help="write output to FILE")
     if fmt:
-        sp.add_argument("--format", choices=("text", "json"), default=None,
-                        help="output format (default text)")
+        sp.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output format (default %(default)s)")
     sp.set_defaults(func=func)
 
 
@@ -319,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("derive", help="construct the generator series")
-    sp.add_argument("--order", type=int, default=None,
-                    help="perturbative order, 1..8 (default 3)")
+    sp.add_argument("--order", type=int, default=3,
+                    help="perturbative order, 1..8 (default %(default)s)")
     _add_param_flags(sp)
     _add_common(sp, _cmd_derive)
 
@@ -328,112 +332,94 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, _cmd_verify, fmt=False)
 
     sp = sub.add_parser("observables", help="dressed X, P and Hermitian form")
-    sp.add_argument("--order", type=int, default=None,
-                    help="perturbative order, 1..6 (default 3)")
+    sp.add_argument("--order", type=int, default=3,
+                    help="perturbative order, 1..6 (default %(default)s)")
     _add_param_flags(sp)
     _add_common(sp, _cmd_observables)
 
     sp = sub.add_parser("classical", help="classical limit of the dressed form")
-    sp.add_argument("--order", type=int, default=None,
-                    help="perturbative order (default 2)")
-    sp.add_argument("--mass", default=None, help="particle mass (rational)")
+    sp.add_argument("--order", type=int, default=2,
+                    help="perturbative order (default %(default)s)")
+    sp.add_argument("--mass", default="1", help="particle mass (rational)")
     _add_common(sp, _cmd_classical)
 
+    # The integrator uses the order-2 classical Hamiltonian.
     sp = sub.add_parser("orbit", help="integrate closed classical orbits")
-    sp.add_argument("--order", type=int, default=None, help=argparse.SUPPRESS)
-    sp.add_argument("--mass", default=None, help="particle mass (rational)")
-    sp.add_argument("--epsilon", type=float, default=None,
-                    help="coupling strength (default 0.1)")
-    sp.add_argument("--init-x", type=float, default=None,
-                    help="initial position (default 0)")
+    sp.add_argument("--order", type=int, default=2, choices=(2,),
+                    help=argparse.SUPPRESS)
+    sp.add_argument("--mass", default="1", help="particle mass (rational)")
+    sp.add_argument("--epsilon", type=float, default=0.1,
+                    help="coupling strength (default %(default)s)")
+    sp.add_argument("--init-x", type=float, default=0.0,
+                    help="initial position (default %(default)s)")
     sp.add_argument("--init-p", type=float, default=None,
                     help="initial momentum (default sqrt(2 m))")
-    sp.add_argument("--dt", type=float, default=None,
-                    help="base time step (default 1e-3)")
-    sp.add_argument("--periods", type=int, default=None,
-                    help="number of periods to integrate (default 1)")
-    sp.add_argument("--steps", type=int, default=None,
-                    help="step budget (default 2000000)")
+    sp.add_argument("--dt", type=float, default=1e-3,
+                    help="base time step (default %(default)s)")
+    sp.add_argument("--periods", type=int, default=1,
+                    help="number of periods to integrate (default %(default)s)")
+    sp.add_argument("--steps", type=int, default=2_000_000,
+                    help="step budget (default %(default)s)")
     _add_common(sp, _cmd_orbit, fmt=False)
 
     sp = sub.add_parser("free-particle", help="parity-twisted free metric")
-    sp.add_argument("--l1", metavar="RAT", default=None,
-                    help="metric scale e^-lambda (positive rational, default 1)")
-    sp.add_argument("--k1", metavar="RAT", default=None,
-                    help="parity ratio e^kappa (positive rational, default 2)")
+    sp.add_argument("--l1", metavar="RAT", default="1",
+                    help="metric scale e^-lambda (positive rational,"
+                         " default %(default)s)")
+    sp.add_argument("--k1", metavar="RAT", default="2",
+                    help="parity ratio e^kappa (positive rational,"
+                         " default %(default)s)")
     _add_common(sp, _cmd_free)
 
     return parser
 
 
-_DEFAULTS = {
-    "derive": {"order": 3, "format": "text"},
-    "observables": {"order": 3, "format": "text"},
-    "classical": {"order": 2, "mass": "1", "format": "text"},
-    "orbit": {"order": 2, "mass": "1", "epsilon": 0.1, "init_x": 0.0,
-              "dt": 1e-3, "periods": 1, "steps": 2_000_000},
-    "free-particle": {"format": "text"},
-    "verify-tables": {},
-}
-
 # derive serves orders up to 8; the commands that dress the series stop at 6.
 _MAX_ORDER = {"derive": 8}
 
-_TYPED = {"order": int, "periods": int, "steps": int,
-          "epsilon": float, "init_x": float, "init_p": float, "dt": float}
 
-
-def _typed_config_value(key: str, kind, value):
-    """Convert a config value for a numeric option, refusing lossy coercions."""
+def _config_value(action: argparse.Action, key: str, value):
+    """`value` of config `key` as `action`'s flag would give it; lossy coercions refused."""
+    bad = f"--config: bad value for {key!r}: {value!r}"
+    kind = action.type or str
     # json gives bools as ints and non-integral numbers as floats; int()
     # would silently turn true into 1 and 2.7 into 2.
     inexact = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or inexact:
-        raise ConfigError(f"--config: bad value for {key!r}: {value!r}")
+    if isinstance(value, bool) or inexact or not isinstance(value, (str, int, float)):
+        raise ConfigError(bad)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--config: bad value for {key!r}: {value!r}") from exc
+        value = kind(value)
+    except ValueError as exc:
+        raise ConfigError(bad) from exc
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{bad} (choose from {', '.join(map(str, action.choices))})")
+    return value
 
 
-def _choices(parser: argparse.ArgumentParser, command: str, attr: str):
-    """The `choices` of the option that `command` stores in `attr`, if any."""
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    for action in subparsers.choices[command]._actions:
-        if action.dest == attr:
-            return action.choices
-    return None
-
-
-def _apply_config(ns, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from --config, then from built-in defaults."""
-    if ns.config:
-        try:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"--config: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("--config: top level must be a JSON object")
-        for key, value in data.items():
-            attr = key.replace("-", "_")
-            if attr == "config" or attr == "func" or not hasattr(ns, attr):
-                raise ConfigError(f"--config: unknown option {key!r} for"
-                                  f" {ns.command!r}")
-            if getattr(ns, attr) is None:
-                if attr in _TYPED:
-                    value = _typed_config_value(key, _TYPED[attr], value)
-                elif not isinstance(value, str):
-                    value = json.dumps(value) if not isinstance(value, (int, float)) else str(value)
-                choices = _choices(parser, ns.command, attr)
-                if choices is not None and value not in choices:
-                    raise ConfigError(f"--config: bad value for {key!r}: {value!r}"
-                                      f" (choose from {', '.join(choices)})")
-                setattr(ns, attr, value)
-    for key, value in _DEFAULTS.get(ns.command, {}).items():
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, value)
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse `argv`; --config values become the subcommand's defaults, so flags win."""
+    with _output(None):  # --help writes to stdout
+        ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    try:
+        with open(ns.config, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"--config: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("--config: top level must be a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[ns.command]
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    values = {}
+    for key, value in data.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"--config: unknown option {key!r} for {ns.command!r}")
+        values[action.dest] = _config_value(action, key, value)
+    sub.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _fail(kind: str, exc: Exception, code: int) -> int:
@@ -446,13 +432,10 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        with _output(None):  # --help writes to stdout
-            ns = parser.parse_args(argv)
-        _apply_config(ns, parser)
+        ns = _parse(build_parser(), argv)
         top = _MAX_ORDER.get(ns.command, 6)
-        if getattr(ns, "order", None) is not None and not 1 <= ns.order <= top:
+        if "order" in ns and not 1 <= ns.order <= top:
             raise ConfigError(f"--order: {ns.order} is outside 1..{top} for {ns.command}")
         return ns.func(ns)
     except ConfigError as exc:

@@ -56,6 +56,20 @@ def _fraction_sqrt(value: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
+def _exact(name: str, value) -> Fraction:
+    """An int (not a bool) or a Fraction as a Fraction; TypeError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
+def _scale(scale) -> Fraction:
+    s = _exact("scale", scale)
+    if s <= 0:
+        raise EngineError("e^{-lam} must be positive")
+    return s
+
+
 @dataclass(frozen=True)
 class ParityLinear:
     """Element a + b*parity of the commutative parity algebra (parity^2 = 1)."""
@@ -114,7 +128,7 @@ class ParityLinear:
 
 def hyperbolic_pair(ratio: Fraction) -> tuple[Fraction, Fraction]:
     """(cosh kappa, sinh kappa) for e^kappa = ratio, exactly."""
-    n = Fraction(ratio)
+    n = _exact("ratio", ratio)
     if n <= 0:
         raise EngineError("e^kappa must be positive")
     return (n * n + 1) / (2 * n), (n * n - 1) / (2 * n)
@@ -122,9 +136,7 @@ def hyperbolic_pair(ratio: Fraction) -> tuple[Fraction, Fraction]:
 
 def free_metric(ratio: Fraction, scale: Fraction = Fraction(1)) -> ParityLinear:
     """e^{-Q} = s (cosh kappa - sinh kappa * parity), s = e^{-lam} = scale."""
-    s = Fraction(scale)
-    if s <= 0:
-        raise EngineError("e^{-lam} must be positive")
+    s = _scale(scale)
     c, s_h = hyperbolic_pair(ratio)
     return ParityLinear(s * c, -s * s_h)
 
@@ -153,7 +165,7 @@ def inner_product_weights(ratio: Fraction,
     with w_id = e^{-lam/2} cosh kappa and w_mirror = -e^{-lam/2} sinh kappa.
     Needs e^{-lam} = scale to be a perfect rational square.
     """
-    half = _fraction_sqrt(Fraction(scale))
+    half = _fraction_sqrt(_scale(scale))
     c, s_h = hyperbolic_pair(ratio)
     return half * c, -half * s_h
 
@@ -167,8 +179,8 @@ def localized_weights(ratio: Fraction,
     amp_same = e^{lam/2} cosh(kappa/2), amp_mirror = e^{lam/2} sinh(kappa/2).
     Exact when both scale and ratio are perfect rational squares.
     """
-    inv_half = _fraction_sqrt(1 / Fraction(scale))
-    root = _fraction_sqrt(Fraction(ratio))
+    inv_half = _fraction_sqrt(1 / _scale(scale))
+    root = _fraction_sqrt(_exact("ratio", ratio))
     c_h, s_h = hyperbolic_pair(root)
     return inv_half * c_h, inv_half * s_h
 
@@ -182,7 +194,7 @@ def localized_overlap(ratio: Fraction,
     localized amplitudes; the construction is consistent exactly when the
     result is (1, 0).
     """
-    s = Fraction(scale)
+    s = _scale(scale)
     amp_same, amp_mirror = localized_weights(ratio, scale)
     c, s_h = hyperbolic_pair(ratio)
     # e^{lam} from the two state prefactors cancels e^{-lam} from the metric;

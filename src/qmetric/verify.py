@@ -205,62 +205,32 @@ def _check_low_orders(qs) -> list[CheckResult]:
     return out
 
 
-def _sector_tag(mu: int, nu: int) -> str:
-    return f"{mu}{nu}"
+def _tabulated(key: str, got, printed, recomputed, message: str) -> CheckResult:
+    """PASS when `got` equals the tabulated `printed` form; for a documented
+    finding, FLAG against `recomputed()`, which is built only then."""
+    if key in ref.EXPECTED_FINDINGS:
+        return _flagged(key, got, recomputed(), printed)
+    return _eq(key, got, printed, message)
 
 
 def _check_sectors(qs) -> list[CheckResult]:
     source = qs.record(3).r.param_split(("l1", "k1"))
     target = qs.record(3).particular.param_split(("l1", "k1"))
-    out = []
-
-    for mu, nu in ref.SECTORS:
-        tag = _sector_tag(mu, nu)
-        ks = to_kernel(source[(mu, nu)])
-        key = f"kernel.s.{tag}"
-        if key in ref.EXPECTED_FINDINGS:
-            out.append(_flagged(key, ks, ref.true_s_kernel(mu, nu),
-                                ref.s_kernel(mu, nu)))
-        else:
-            out.append(_eq(key, ks, ref.s_kernel(mu, nu),
-                           "matches the tabulated closed form"))
-
-    for mu, nu in ref.SECTORS:
-        tag = _sector_tag(mu, nu)
-        key = f"table.a.{tag}"
-        expr = target[(mu, nu)]
-        n = len(ref.TABLE_A[(mu, nu)])
-        if key in ref.EXPECTED_FINDINGS:
-            out.append(_flagged(key, expr,
-                                ref.t_normal(mu, nu, ref.TRUE_A),
-                                ref.t_normal(mu, nu)))
-        else:
-            out.append(_eq(key, expr, ref.t_normal(mu, nu),
-                           f"all {n} amplitudes match"))
-
-    for mu, nu in ref.SECTORS:
-        tag = _sector_tag(mu, nu)
-        key = f"kernel.t.{tag}"
-        kt = to_kernel(target[(mu, nu)])
-        if key in ref.EXPECTED_FINDINGS:
-            out.append(_flagged(key, kt, ref.true_t_kernel(mu, nu),
-                                ref.t_kernel(mu, nu)))
-        else:
-            out.append(_eq(key, kt, ref.t_kernel(mu, nu),
-                           "matches the tabulated closed form"))
-
-    for mu, nu in ref.SECTORS:
-        tag = _sector_tag(mu, nu)
-        key = f"table.c.{tag}"
-        expr = target[(mu, nu)]
-        n = sum(1 for v in ref.TABLE_C[(mu, nu)] if v is not None)
-        if key in ref.EXPECTED_FINDINGS:
-            out.append(_flagged(key, expr,
-                                ref.t_symmetric(mu, nu, ref.TRUE_C),
-                                ref.t_symmetric(mu, nu)))
-        else:
-            out.append(_eq(key, expr, ref.t_symmetric(mu, nu),
-                           f"all {n} combination cells match"))
+    out = [_tabulated(f"kernel.s.{mu}{nu}", to_kernel(source[(mu, nu)]),
+                      ref.s_kernel(mu, nu), lambda: ref.true_s_kernel(mu, nu),
+                      "matches the tabulated closed form") for mu, nu in ref.SECTORS]
+    out += [_tabulated(f"table.a.{mu}{nu}", target[(mu, nu)], ref.t_normal(mu, nu),
+                       lambda: ref.t_normal(mu, nu, ref.TRUE_A),
+                       f"all {len(ref.TABLE_A[(mu, nu)])} amplitudes match")
+            for mu, nu in ref.SECTORS]
+    out += [_tabulated(f"kernel.t.{mu}{nu}", to_kernel(target[(mu, nu)]),
+                       ref.t_kernel(mu, nu), lambda: ref.true_t_kernel(mu, nu),
+                       "matches the tabulated closed form") for mu, nu in ref.SECTORS]
+    out += [_tabulated(f"table.c.{mu}{nu}", target[(mu, nu)], ref.t_symmetric(mu, nu),
+                       lambda: ref.t_symmetric(mu, nu, ref.TRUE_C),
+                       f"all {sum(v is not None for v in ref.TABLE_C[(mu, nu)])}"
+                       " combination cells match")
+            for mu, nu in ref.SECTORS]
 
     wave_ok = all(
         apply_wave_operator(to_kernel(target[s]))

@@ -21,6 +21,19 @@ def test_help_and_missing_command():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("derive", "--order", "x"), ("derive", "--format", "xml"),
+    ("derive", "--bogus"), ("no-such-command",), (),
+    ("orbit", "--order", "3"), ("observables", "--order"),
+])
+def test_usage_errors_are_one_line(args):
+    out = run(*args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("config error: ")
+
+
 def test_derive_defaults():
     out = run("derive")
     assert out.returncode == 0
@@ -337,3 +350,55 @@ def test_orbit_step_budget_below_one(tmp_path, steps):
         assert out.returncode == 1
         assert out.stderr.startswith("engine error: ")
         assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args, config", [
+    (("derive", "--l1="), None),
+    (("free-particle", "--k1="), None),
+    (("derive", "--out="), None),
+    (("derive", "--config="), None),
+    (("derive",), {"l1": ""}),
+    (("derive", "--order", "2"), {"order": True}),   # checked though overridden
+    (("observables", "--format", "text"), {"format": "xml"}),
+])
+def test_empty_and_overridden_values_are_refused(tmp_path, args, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ("--config", str(cfg))
+    out = run(*args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("config error: ")
+
+
+def test_config_equals_flags(tmp_path):
+    cfg = tmp_path / "derive.json"
+    cfg.write_text(json.dumps({"order": 4, "l1": "3/7", "k1": "-2/5"}))
+    by_flags = run("derive", "--order", "4", "--l1=3/7", "--k1=-2/5",
+                   "--format", "json")
+    by_config = run("derive", "--config", str(cfg), "--format", "json")
+    assert by_flags.returncode == 0 and by_config.returncode == 0
+    assert by_config.stdout == by_flags.stdout
+
+    cfg = tmp_path / "orbit.json"
+    cfg.write_text(json.dumps({"periods": 2, "dt": 0.01,
+                               "out": str(tmp_path / "config.csv")}))
+    by_flags = run("orbit", "--periods", "2", "--dt", "0.01",
+                   "--out", str(tmp_path / "flags.csv"))
+    by_config = run("orbit", "--config", str(cfg))
+    assert by_flags.returncode == 0 and by_config.returncode == 0
+    assert by_config.stdout == by_flags.stdout
+    assert ((tmp_path / "config.csv").read_bytes()
+            == (tmp_path / "flags.csv").read_bytes())
+
+
+@pytest.mark.parametrize("value", [None, True, [3], {"n": 3}])
+def test_config_refuses_values_no_flag_can_give(tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"l1": value}))
+    out = run("derive", "--config", str(cfg))
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: --config: bad value for 'l1': ")
+    assert len(out.stderr.splitlines()) == 1

@@ -156,3 +156,25 @@ def test_localized_states_are_orthonormal(ratio, scale):
 @given(positive_rationals, positive_rationals)
 def test_localized_overlap_exact_for_all_squares(n, m):
     assert localized_overlap(n * n, m * m) == (F(1), F(0))
+
+
+@pytest.mark.parametrize("bad", [True, 0.1, "9/4"])
+@pytest.mark.parametrize("func, slot", [
+    (hyperbolic_pair, 0), (free_metric, 0), (free_metric, 1),
+    (inner_product_weights, 0), (inner_product_weights, 1),
+    (localized_weights, 0), (localized_weights, 1),
+    (localized_overlap, 0), (localized_overlap, 1),
+    (position_observable, 0), (momentum_observable, 0),
+])
+def test_entry_points_refuse_inexact_values(func, slot, bad):
+    args = [F(4), F(1)][:slot + 1]
+    args[slot] = bad
+    with pytest.raises(TypeError):
+        func(*args)
+
+
+@pytest.mark.parametrize("call", [inner_product_weights, localized_weights,
+                                  localized_overlap])
+def test_zero_scale_is_an_engine_error(call):
+    with pytest.raises(EngineError):
+        call(4, 0)
