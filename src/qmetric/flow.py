@@ -33,22 +33,24 @@ through the window while H evaluated at the closest samples can swing by
 orders of magnitude).  The CSV rows still record H as computed.
 
 The steppers are specific to the one Hamiltonian shape accepted here
-(`_require_sextic`).  `ClassicalHamiltonian.at(epsilon)` folds each
-term's c * eps^j * m^mpow (and the exponent, for a derivative) into one
-float, left to right as the term's full product does; the five folded
-constants are read once per orbit, keyed by (x power, p power), and the
-closed forms
+(`_require_sextic`).  `_sextic_constants` folds, once per orbit, the
+constant head float(c) * n * eps**j * m**mpow of each term of H and
+its derivatives (n the exponent, for a derivative) from the two terms
+of `ClassicalHamiltonian.term_map()`, left to right as
+`ClassicalHamiltonian.evaluate`, `d_dx` and `d_dp` form the full
+product; the closed forms
 
     H     = 0.0 + kh * p**2 + ch * x**6 * p**-2
     dH/dx = 0.0 +             cx * x**5 * p**-2
     dH/dp = 0.0 + kp * p    + cp * x**6 * p**-3
 
-are bit-identical to the generic folded sum of k * x**a * p**b: x**0 is
-1.0 and p**1 is p for every float, so k * x**0 * p**b equals k * p**b,
-and a two-term sum from 0.0 gives the same bits in either term order,
-signed zeros included.  The powers stay `**` (x**5 * x is not x**6 bit
-for bit).  A property test checks the closed forms against the generic
-fold, and the tests pin the CSV bytes of two runs by SHA-256.
+are then bit-identical to those generic sums: a float times the int 1
+is itself, x**0 is 1.0 and p**1 is p for every float, so
+c * eps**0 * m**mpow * x**0 * p**b equals kh * p**b, and a two-term sum
+from 0.0 gives the same bits in either term order, signed zeros
+included.  The powers stay `**` (x**5 * x is not x**6 bit for bit).
+A property test checks the closed forms against the generic sums, and
+the tests pin the CSV bytes of two runs by SHA-256.
 
 Both stepping loops (t outside a window, x inside one) evaluate their
 RK4 stages and each sample's H in place rather than through `_rk4_t`,
@@ -57,8 +59,10 @@ call per stage.  They keep the helpers' float operations operation for
 operation, in the same order, so every bit matches: only a product that
 Python forms left to right anyway is hoisted, such as 0.5 * dt (or
 0.5 * h) out of 0.5 * dt * k, and -9 m C out of -9 m C x^5 w^(1/3), and
-a value computed twice from the same operands (x + h/2 for the second
-and third window stages) is computed once.  A test steps a reference
+a value computed twice from the same operands is computed once: x + h/2
+for the second and third window stages, a step's closing cube root and
+x^5 for the next window step's first stage, and a sample's x^6 and p^-2
+for the next t step's first stage.  A test steps a reference
 orbit through the helpers and requires the same samples, period,
 closure, drift and windows.
 
@@ -92,7 +96,7 @@ from fractions import Fraction
 from typing import IO, Iterator
 
 from .errors import EngineError
-from .observables import ClassicalHamiltonian, FoldedHamiltonian
+from .observables import ClassicalHamiltonian
 
 __all__ = ["OrbitResult", "integrate_orbit"]
 
@@ -170,12 +174,19 @@ def _require_sextic(hc: ClassicalHamiltonian) -> None:
             f"Hamiltonian, got terms {sorted(shape)}")
 
 
-def _sextic_constants(field: FoldedHamiltonian) -> tuple:
-    """(kh, ch, cx, kp, cp): the folded constants of the closed forms."""
-    h = {(a, b): k for k, a, b in field.h}
-    dh_dx = {(a, b): k for k, a, b in field.dh_dx}
-    dh_dp = {(a, b): k for k, a, b in field.dh_dp}
-    return h[0, 2], h[6, -2], dh_dx[5, -2], dh_dp[0, 1], dh_dp[6, -3]
+def _sextic_constants(hc: ClassicalHamiltonian, epsilon: float) -> tuple:
+    """(kh, ch, cx, kp, cp): float(c) * n * epsilon**j * m**mpow of the
+    (j, a, b) terms of `hc.term_map()`, n the exponent a derivative
+    brings down (1 for H), formed as the module docstring says."""
+    m = float(hc.mass)
+    shape = hc.term_map()
+
+    def fold(j: int, a: int, b: int, n: int = 1) -> float:
+        c, mpow = shape[j, a, b]
+        return float(c) * n * epsilon ** j * m ** mpow
+
+    return (fold(0, 0, 2), fold(2, 6, -2), fold(2, 6, -2, 6),
+            fold(0, 0, 2, 2), fold(2, 6, -2, -2))
 
 
 def _energy(c: tuple, x: float, p: float) -> float:
@@ -219,7 +230,7 @@ def _crossing_time(c: tuple, x: float, p: float,
     return tau, xs, ps
 
 
-def _traverse_pinch(field: FoldedHamiltonian, c: tuple, t: float, x: float,
+def _traverse_pinch(m: float, epsilon: float, c: tuple, t: float, x: float,
                     p: float, dt: float, theta: float, samples: array,
                     budget: int) -> tuple[float, float, float, int] | None:
     """Carry (t, x, p) through the pinch window in x-parametrized form.
@@ -227,8 +238,7 @@ def _traverse_pinch(field: FoldedHamiltonian, c: tuple, t: float, x: float,
     Returns the state at the window's exit and the steps taken, or None
     once `budget` steps are spent inside the window.
     """
-    m, eps = field.mass, field.epsilon
-    c_sextic = float(Fraction(3, 8)) * m * eps * eps
+    c_sextic = float(_SEXTIC_SHAPE[2, 6, -2][0]) * m * epsilon * epsilon
     energy = _energy(c, x, p)
     m_energy = m * energy
     threshold = theta * m_energy
@@ -244,26 +254,29 @@ def _traverse_pinch(field: FoldedHamiltonian, c: tuple, t: float, x: float,
     a = -9.0 * m * c_sextic
     half = 0.5 * h
     add_row = samples.frombytes
+    # pw = w^(1/3) and x5 = x^5 carry over from a step's end to the
+    # next step's first stage.
     w = p ** 3
+    pw, x5 = _cbrt(w), x ** 5
     max_inner = int(4.0 * abs(x) / abs(h)) + 64
     for steps in range(1, min(max_inner, budget) + 1):
-        wc = _cbrt(w)
-        den = wc * wc - m_energy
-        k1w = a * x ** 5 * wc / den
-        k1t = m * wc / (2.0 * den)
-        x5 = (x + half) ** 5
+        den = pw * pw - m_energy
+        k1w = a * x5 * pw / den
+        k1t = m * pw / (2.0 * den)
+        xm5 = (x + half) ** 5
         wc = _cbrt(w + half * k1w)
         den = wc * wc - m_energy
-        k2w = a * x5 * wc / den
+        k2w = a * xm5 * wc / den
         k2t = m * wc / (2.0 * den)
         wc = _cbrt(w + half * k2w)
         den = wc * wc - m_energy
-        k3w = a * x5 * wc / den
+        k3w = a * xm5 * wc / den
         k3t = m * wc / (2.0 * den)
         x += h
+        x5 = x ** 5
         wc = _cbrt(w + h * k3w)
         den = wc * wc - m_energy
-        k4w = a * x ** 5 * wc / den
+        k4w = a * x5 * wc / den
         k4t = m * wc / (2.0 * den)
         w += h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
         t += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
@@ -318,16 +331,16 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
     if not 0.0 < theta < 1.0:
         raise EngineError(f"theta must lie strictly between 0 and 1, got {theta!r}")
     try:
-        return _integrate(hc.at(epsilon), x0, p0, dt, periods, theta, max_steps)
+        c = _sextic_constants(hc, epsilon)
+        return _integrate(float(hc.mass), epsilon, c, x0, p0, dt, periods,
+                          theta, max_steps)
     except OverflowError as exc:
         raise EngineError("orbit left the floating-point range") from exc
 
 
-def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
-               dt: float, periods: int, theta: float,
+def _integrate(m: float, epsilon: float, c: tuple, x0: float,
+               p0: float | None, dt: float, periods: int, theta: float,
                max_steps: int) -> OrbitResult:
-    m = field.mass
-    c = _sextic_constants(field)
     kh, ch, cx, kp, cp = c
     half = 0.5 * dt
     if p0 is None:
@@ -336,7 +349,10 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
         raise EngineError("p0 = 0 sits on the pinch itself")
 
     t, x, p = 0.0, float(x0), float(p0)
-    e0 = _energy(c, x, p)
+    # x6 = x^6 and pm2 = p^-2 carry over from a sample's H to the next t
+    # step's first stage; a window exit forms them afresh.
+    x6, pm2 = x ** 6, p ** -2
+    e0 = 0.0 + kh * p ** 2 + ch * x6 * pm2
     if e0 <= 0.0:
         raise EngineError("initial energy must be positive")
     gate = theta * m * e0
@@ -348,24 +364,26 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
     start_on_section = x0 == 0.0 and p0 > 0.0
     crossings: list = [(t, x, p)] if start_on_section else []
     needed = periods + 1
+    done = False
 
     # Every step, inside a window or out, adds one sample.
     steps = 0
     while steps < max_steps:
         if p * p < gate and x * p > 0.0:
             t_in = t
-            state = _traverse_pinch(field, c, t, x, p, dt, theta, samples,
-                                    max_steps - steps)
+            state = _traverse_pinch(m, epsilon, c, t, x, p, dt, theta,
+                                    samples, max_steps - steps)
             if state is None:
                 break
             t, x, p, taken = state
             steps += taken
             windows.append((t_in, t))
+            x6, pm2 = x ** 6, p ** -2
             continue
         # _rk4_t and then _energy, written out (see the module docstring).
         x_prev, p_prev = x, p
-        k1x = 0.0 + kp * p + cp * x ** 6 * p ** -3
-        k1p = -(0.0 + cx * x ** 5 * p ** -2)
+        k1x = 0.0 + kp * p + cp * x6 * p ** -3
+        k1p = -(0.0 + cx * x ** 5 * pm2)
         xa, pa = x_prev + half * k1x, p_prev + half * k1p
         k2x = 0.0 + kp * pa + cp * xa ** 6 * pa ** -3
         k2p = -(0.0 + cx * xa ** 5 * pa ** -2)
@@ -382,23 +400,27 @@ def _integrate(field: FoldedHamiltonian, x0: float, p0: float | None,
         if x_prev < 0.0 <= x:
             tau, xs, ps = _crossing_time(c, x_prev, p_prev, dt)
             crossings.append((t - dt + tau, xs, ps))
-            if len(crossings) >= needed:
+            done = len(crossings) >= needed
+            if done:
                 t, x, p = crossings[-1][0], xs, ps
-        h_now = 0.0 + kh * p ** 2 + ch * x ** 6 * p ** -2
+        x6, pm2 = x ** 6, p ** -2
+        h_now = 0.0 + kh * p ** 2 + ch * x6 * pm2
         add_row(_pack_row(t, x, p, h_now))
         if p * p >= gate:
-            drift = max(drift, abs(h_now / e0 - 1.0))
-        if len(crossings) >= needed:
+            d = abs(h_now / e0 - 1.0)
+            if d > drift:
+                drift = d
+        if done:
             break
 
     period = closure = None
-    if len(crossings) >= needed:
+    if done:
         t_a, x_a, p_a = crossings[0]
         t_b, x_b, p_b = crossings[-1]
         period = (t_b - t_a) / periods
         closure = math.hypot(x_b - x_a, p_b - p_a)
 
-    return OrbitResult(epsilon=field.epsilon, mass=m, dt=dt,
+    return OrbitResult(epsilon=epsilon, mass=m, dt=dt,
                        rows=OrbitRows(samples), period=period,
                        closure=closure, energy_drift=drift,
                        windows=tuple(windows))

@@ -79,68 +79,38 @@ def equivalent_hermitian(qs: QSeries) -> SeriesExpr:
     return h
 
 
-def _folded_sum(terms: tuple, x: float, p: float) -> float:
-    total = 0.0
-    for k, a, b in terms:
-        total += k * x ** a * p ** b
-    return total
-
-
-@dataclass(frozen=True)
-class FoldedHamiltonian:
-    """A `ClassicalHamiltonian` at fixed epsilon and mass, constants folded.
-
-    Each of `h`, `dh_dx` and `dh_dp` is a tuple of (k, a, b) meaning
-    sum k * x^a * p^b, where k is the float product c * eps^j * m^mpow
-    (times the exponent for a derivative) formed left to right as the
-    unfolded expression would, so every value is bit-identical to
-    evaluating the term's full product at each point.
-    """
-
-    epsilon: float
-    mass: float
-    h: tuple
-    dh_dx: tuple
-    dh_dp: tuple
-
-    def evaluate(self, x: float, p: float) -> float:
-        return _folded_sum(self.h, x, p)
-
-    def d_dx(self, x: float, p: float) -> float:
-        return _folded_sum(self.dh_dx, x, p)
-
-    def d_dp(self, x: float, p: float) -> float:
-        return _folded_sum(self.dh_dp, x, p)
-
-
 @dataclass(frozen=True)
 class ClassicalHamiltonian:
-    """Polynomial classical Hamiltonian sum of c * eps^j * m^mpow * x^a p^b."""
+    """Polynomial classical Hamiltonian sum of c * eps^j * m^mpow * x^a p^b.
+
+    `evaluate`, `d_dx` and `d_dp` sum from 0.0, in term order, each
+    term's product (times its exponent, for a derivative) formed left
+    to right, so `flow` can fold the constant part of each product once
+    per orbit and keep every bit.
+    """
 
     mass: Fraction
     terms: tuple  # of (order j, x power a, p power b, Fraction coeff, mass power)
 
-    def at(self, epsilon: float) -> FoldedHamiltonian:
-        """Fold every term's constant for this epsilon, once."""
-        m = float(self.mass)
-        h, dh_dx, dh_dp = [], [], []
-        for j, a, b, c, mpow in self.terms:
-            c = float(c)
-            h.append((c * epsilon ** j * m ** mpow, a, b))
-            if a:
-                dh_dx.append((c * a * epsilon ** j * m ** mpow, a - 1, b))
-            if b:
-                dh_dp.append((c * b * epsilon ** j * m ** mpow, a, b - 1))
-        return FoldedHamiltonian(epsilon, m, tuple(h), tuple(dh_dx), tuple(dh_dp))
-
     def evaluate(self, x: float, p: float, epsilon: float) -> float:
-        return self.at(epsilon).evaluate(x, p)
+        m, total = float(self.mass), 0.0
+        for j, a, b, c, mpow in self.terms:
+            total += float(c) * epsilon ** j * m ** mpow * x ** a * p ** b
+        return total
 
     def d_dx(self, x: float, p: float, epsilon: float) -> float:
-        return self.at(epsilon).d_dx(x, p)
+        m, total = float(self.mass), 0.0
+        for j, a, b, c, mpow in self.terms:
+            if a:
+                total += float(c) * a * epsilon ** j * m ** mpow * x ** (a - 1) * p ** b
+        return total
 
     def d_dp(self, x: float, p: float, epsilon: float) -> float:
-        return self.at(epsilon).d_dp(x, p)
+        m, total = float(self.mass), 0.0
+        for j, a, b, c, mpow in self.terms:
+            if b:
+                total += float(c) * b * epsilon ** j * m ** mpow * x ** a * p ** (b - 1)
+        return total
 
     def term_map(self) -> dict:
         return {(j, a, b): (c, mpow) for j, a, b, c, mpow in self.terms}

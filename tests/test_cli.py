@@ -63,7 +63,7 @@ def test_derive_numeric_parameters():
 def test_order_out_of_range():
     out = run("derive", "--order", "9")
     assert out.returncode == 2
-    assert "outside" in out.stderr
+    assert "invalid choice: 9" in out.stderr
 
 
 def test_derive_serves_order_eight():
@@ -77,7 +77,7 @@ def test_derive_serves_order_eight():
     for command in ("observables", "classical"):
         out = run(command, "--order", "7")
         assert out.returncode == 2
-        assert "outside 1..6" in out.stderr
+        assert "invalid choice: 7 (choose from 1, 2, 3, 4, 5, 6)" in out.stderr
 
 
 def test_bad_rational_flag():
@@ -360,6 +360,8 @@ def test_orbit_step_budget_below_one(tmp_path, steps):
     (("derive",), {"l1": ""}),
     (("derive", "--order", "2"), {"order": True}),   # checked though overridden
     (("observables", "--format", "text"), {"format": "xml"}),
+    (("derive", "--order", "2"), {"order": 9}),
+    (("observables", "--order", "2"), {"order": 7}),
 ])
 def test_empty_and_overridden_values_are_refused(tmp_path, args, config):
     if config is not None:
