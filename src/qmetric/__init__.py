@@ -26,7 +26,7 @@ from .observables import (ClassicalHamiltonian, classical_limit,
                           equivalent_hermitian, observable_p, observable_x)
 from .params import ParamPoly, format_poly, parse_poly
 from .perturbation import (BbjReport, MetricParams, OrderRecord, QSeries,
-                           bbj_compare, bbj_expansion, build_r, canonical_q,
+                           bbj_compare, bbj_expansion, build_r,
                            derive_metric_series, extend_one_order,
                            q_coefficient, solve_commutator_equation)
 from .rational import GaussianRational
@@ -41,7 +41,7 @@ __all__ = [
     "OrbitResult", "OrderRecord", "ParamPoly", "ParityLinear", "QSeries",
     "SeriesExpr",
     "VerificationReport", "anticommutator", "apply_wave_operator",
-    "backend_name", "bbj_compare", "bbj_expansion", "build_r", "canonical_q",
+    "backend_name", "bbj_compare", "bbj_expansion", "build_r",
     "classical_limit", "commutator", "derive_metric_series",
     "equivalent_hermitian", "extend_one_order", "format_poly", "free_metric",
     "from_symmetric_form", "h0", "h1", "hyperbolic_pair",

@@ -45,6 +45,26 @@ Since (-i)^k i^k = 1, the normal-ordering weights C(a,k) ff(b,k) become
 plain integers, applied to each entry with one multiply-add.  On output
 each coefficient is rotated back by i^a of its own x-power.
 
+Weyl symbols.  The nested-commutator table (series.NestedCommutators)
+and the solver of [p^2/2, S] = R work on Weyl (symmetrically ordered)
+symbols W(x^a p^b) P^e, P kept as a grading, in the same expr dicts.
+to_weyl and to_normal convert with
+x^a p^b P^e = sum_k (i/2)^k C(a,k) ff(b,k) W(x^(a-k) p^(b-k)) P^e and its
+inverse, which has (-i/2)^k; each accumulates integers over one
+denominator and reduces each output coefficient once.  A symbol keeps
+the coefficient of W(x^a p^b) over 2^a, that is, it is written in powers
+of 2x; this takes the 1/2^k out of the Moyal product.  In the rotated
+frame, the commutator of W(x^a1 p^b1) P^e1 and W(x^a2 p^b2) P^e2 then
+has the integer weight (-1)^k 2 s12 S_k at x^(a1+a2-k) p^(b1+b2-k), with
+S_k = sum_j C(a1,j) ff(b2,j) (-1)^(k-j) C(a2,k-j) ff(b1,k-j) and s12,
+s21 the parity signs of the two products; only odd k survive when
+s12 = s21, only even k otherwise (_moyal_weights).  So weyl_commutator
+is the same kernel with other weights, and far fewer monomial pairs and
+output slots carry a nonzero weight than in normal order.  On symbols
+[p^2/2, .] is -i p d/dx, so weyl_solve_h0 solves term by term, and its
+solution is Hermitian when R is anti-Hermitian, which
+weyl_is_antihermitian reads off the coefficients.
+
 Inside one expr_mul or expr_commutator call, every exponent vector gets
 a small-int id: the left operands of all pairs share one id space, the
 right operands another, and the products a third, whose id is memoized
@@ -332,8 +352,8 @@ def _int_kernel(pairs, weights):
                 row = rows.get(rk)
                 if row is None:
                     row = rows[rk] = [None] * width
-                # In the rotated frame the (-i)^k of the normal-ordering rule
-                # cancels against i^k, so the weights n are plain integers.
+                # In the rotated frame the weights n, normal-ordering or
+                # Moyal, are plain integers (see the module docstring).
                 for k, n in ws:
                     slot = row[a - k]
                     if slot is None:
@@ -376,32 +396,120 @@ def expr_commutator(pairs):
     return _int_kernel(pairs, _commutator_weights)
 
 
-def solve_h0(t):
-    """One solution S of [p^2/2, S] = t, by descending x-power.
+def _moyal_weights(a1, b1, e1, a2, b2, e2):
+    """[(k, n)] with [m1, m2] = sum_k n x^(a1+a2-k) p^(b1+b2-k) P^(e1^e2) on
+    Weyl symbols in the rotated frame (see the module docstring).
 
-    c x^a p^b P^e is produced by (i c / (a+1)) x^(a+1) p^(b-1) P^e, which
-    also leaves (i c a / 2) x^(a-1) p^(b-1) P^e, so each diagonal of fixed
-    b - a and parity runs from its top x-power down to 0.  With C_a the
-    coefficient met at x^a, u_a = 2^(top-a) C_a = 2^(top-a) c_a +
-    i (a+1) u_(a+1) on integer numerators over t's common denominator
-    den, and S holds i u_a / ((a+1) 2^(top-a) den) at x^(a+1).
+    n = (-1)^k 2 s12 S_k with S = U * V, the convolution of
+    U_j = C(a1,j) ff(b2,j) and V_i = (-1)^i C(a2,i) ff(b1,i); only odd k
+    survive when the parity signs s12 and s21 agree, only even k otherwise.
+    """
+    s12 = -1 if (e1 and ((a2 + b2) & 1)) else 1
+    s21 = -1 if (e2 and ((a1 + b1) & 1)) else 1
+    u = [1]
+    for j in range(1, a1 + 1):
+        n = u[-1] * (a1 - j + 1) * (b2 - j + 1) // j
+        if not n:
+            break
+        u.append(n)
+    v = [1]
+    for i in range(1, a2 + 1):
+        n = -v[-1] * (a2 - i + 1) * (b1 - i + 1) // i
+        if not n:
+            break
+        v.append(n)
+    if len(u) == 1:
+        conv = v
+    elif len(v) == 1:
+        conv = u
+    else:
+        conv = [0] * (len(u) + len(v) - 1)
+        for j, x in enumerate(u):
+            for k, y in enumerate(v, j):
+                conv[k] += x * y
+    odd = s12 == s21
+    two = -2 * s12 if odd else 2 * s12
+    return [(k, two * n) for k in range(odd, len(conv), 2) if (n := conv[k])]
+
+
+def weyl_commutator(pairs):
+    """Sum of the commutators [t1, t2] over the (t1, t2) pairs of Weyl symbols."""
+    return _int_kernel(pairs, _moyal_weights)
+
+
+def _reorder(t, weyl):
+    """Normal-ordered t as a Weyl symbol (weyl true), or the reverse.
+
+    x^a p^b P^e = sum_k (i/2)^k C(a,k) ff(b,k) W(x^(a-k) p^(b-k)) P^e, and
+    the inverse has (-i/2)^k.  A symbol keeps the coefficient of W(x^a p^b)
+    over 2^a, so the weights are i^k C(a,k) ff(b,k) / 2^a one way and
+    (-i)^k C(a,k) ff(b,k) 2^(a-k) the other; every term is accumulated as
+    an integer over one denominator and each output reduced once.
     """
     den = _common_den(t.values())
-    diagonals = {}
+    top = max((a for a, _, _ in t), default=0) if weyl else 0
+    acc = {}
     for (a, b, e), p in t.items():
-        diagonals.setdefault((b - a, e), {})[a] = _to_int(p, den)
+        ints = [(ev, c[0] * (f := den // c[2]), c[1] * f) for ev, c in p.items()]
+        n = 1 << (top - a) if weyl else 1 << a
+        for k in range(a + 1):
+            if k:
+                n = n * (a - k + 1) * (b - k + 1) // k
+                if not n:
+                    break
+                if not weyl:
+                    n >>= 1
+            # The weight is n i^k or n (-i)^k: m or i m.
+            m = -n if (k if weyl else -k) & 2 else n
+            slot = acc.setdefault((a - k, b - k, e), {})
+            get = slot.get
+            if k & 1:
+                for ev, re, im in ints:
+                    old = get(ev, _INT_ZERO)
+                    slot[ev] = (old[0] - im * m, old[1] + re * m)
+            else:
+                for ev, re, im in ints:
+                    old = get(ev, _INT_ZERO)
+                    slot[ev] = (old[0] + re * m, old[1] + im * m)
+    den <<= top
     out = {}
-    for (d, e), row in diagonals.items():
-        top = max(row)
-        u = {}
-        for a in range(top, -1, -1):
-            f = 1 << (top - a)
-            u = {ev: (-im * (a + 1), re * (a + 1)) for ev, (re, im) in u.items()}
-            for ev, (re, im) in row.get(a, {}).items():
-                old = u.get(ev, _INT_ZERO)
-                u[ev] = (old[0] + f * re, old[1] + f * im)
-            poly = {ev: q_make(-im, re, (a + 1) * f * den)
-                    for ev, (re, im) in u.items() if re or im}
-            if poly:
-                out[(a + 1, d + a - 1, e)] = poly
+    for key, slot in acc.items():
+        poly = {ev: q_make(re, im, den) for ev, (re, im) in slot.items() if re or im}
+        if poly:
+            out[key] = poly
     return out
+
+
+def to_weyl(t):
+    """The Weyl symbol of a normal-ordered expr."""
+    return _reorder(t, True)
+
+
+def to_normal(t):
+    """The normal-ordered expr of a Weyl symbol."""
+    return _reorder(t, False)
+
+
+def weyl_is_antihermitian(t):
+    """Whether the operator of Weyl symbol t is anti-Hermitian: W(f)+ =
+    W(conj f) and (W(f) P)+ = W(conj f(-x, -p)) P, so every coefficient
+    is imaginary, or real where e = 1 and a + b is odd."""
+    for (a, b, e), p in t.items():
+        part = 1 if e and ((a + b) & 1) else 0
+        for c in p.values():
+            if c[part]:
+                return False
+    return True
+
+
+def weyl_solve_h0(t):
+    """The solution S of [p^2/2, S] = t on Weyl symbols.
+
+    [p^2/2, W(x^a p^b) P^e] = -i a W(x^(a-1) p^(b+1)) P^e, so each term
+    r W(x^a p^b) P^e gives (i r / (a+1)) W(x^(a+1) p^(b-1)) P^e, which is
+    i r / (2 (a+1)) in the stored form; S is Hermitian when t is
+    anti-Hermitian.
+    """
+    return {(a + 1, b - 1, e): {ev: q_make(-c[1], c[0], 2 * (a + 1) * c[2])
+                                for ev, c in p.items()}
+            for (a, b, e), p in t.items()}

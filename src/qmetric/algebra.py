@@ -231,9 +231,6 @@ class OperatorExpr:
     def is_antihermitian(self) -> bool:
         return self.adjoint() == -self
 
-    def hermitian_part(self) -> "OperatorExpr":
-        return (self + self.adjoint()).scale(Fraction(1, 2))
-
     def substitute(self, values: dict) -> "OperatorExpr":
         out: dict = {}
         for k, p in self._t.items():

@@ -313,7 +313,8 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
     the motion is free and unbounded), `period` and `closure` are None
     and the rows simply record the integrated stretch.  `epsilon`, `dt`,
     `x0`, `p0` (or None) and `theta` must be finite reals (not bools),
-    `periods` and `max_steps` ints of at least 1, and 0 < `theta` < 1.
+    `periods` and `max_steps` ints of at least 1, and 0 < `theta` < 1;
+    `epsilon`, `x0` and `p0` are used as floats.
     """
     _require_sextic(hc)
     for name, value in (("epsilon", epsilon), ("dt", dt), ("x0", x0), ("p0", p0), ("theta", theta)):
@@ -324,6 +325,7 @@ def integrate_orbit(hc: ClassicalHamiltonian, epsilon: float, *,
             raise EngineError(f"{name} must be finite, got {value!r}")
     if epsilon < 0.0:
         raise EngineError("epsilon must be non-negative")
+    epsilon = float(epsilon)
     if dt <= 0.0:
         raise EngineError("dt must be positive")
     _require_count("periods", periods)

@@ -7,15 +7,20 @@ Q_j Hermitian.  Order j is obtained in three steps:
    the already-solved lower orders.  With L X = [X, Q] the defining
    relation reads tanh(L/2) H0 = -eps H1, so R = L H0 = -L coth(L/2) eps H1
    is a Bernoulli-weighted sum of the entries E[k][j] of the table
-   ``series.NestedCommutators`` seeded with eps H1.  The derived series
-   keeps its table for the extension and ``equivalent_hermitian``; the
-   columns no later order reads (R_{N-1}, R_N, and R_{N+1}, h_{N+1} in
-   the extension) are streamed.
-2. ``solve_commutator_equation``: produce one particular Hermitian
-   solution by descending-x-degree elimination, in integers.
-3. ``canonical_q``: move every x-free piece of the particular solution
-   into the free parameters and attach the homogeneous terms
-   lambda_j p^(-5j) + i^j kappa_j p^(-5j) P.
+   ``series.NestedCommutators`` seeded with eps H1.  The table holds
+   Weyl symbols; R_j is checked anti-Hermitian on its symbol and
+   normal-ordered for the record.  The derived series keeps its table
+   for the extension and ``equivalent_hermitian``; the columns no later
+   order reads (R_{N-1}, R_N, and R_{N+1}, h_{N+1} in the extension) are
+   streamed.
+2. ``solve_commutator_equation``: on Weyl symbols [H0, .] is -i p d/dx,
+   so one particular solution is read off R_j's symbol term by term; it
+   is Hermitian because R_j is anti-Hermitian, and its normal-ordered
+   form is checked by the round trip [H0, S] = R_j in normal order.
+3. ``strip_x_free`` and ``homogeneous_q``: move every x-free piece of the
+   particular solution into the free parameters and attach the
+   homogeneous terms lambda_j p^(-5j) + i^j kappa_j p^(-5j) P; the sum
+   Q_j is checked Hermitian and joins the table as a Weyl symbol.
 
 The x^3 perturbation makes every order scaling-homogeneous: counting
 deg(x) = -1, deg(p) = +1, order j carries degree -5j (the 5 is the
@@ -140,15 +145,16 @@ class MetricParams:
 
 
 def _source(j, table, weight, streamed):
-    """R_j = sum_k source_weight(k) E[k][j], checked."""
-    r = table.total(j, _source_weight, streamed)
-    if not r.is_antihermitian():
+    """(R_j, its Weyl symbol), R_j = sum_k source_weight(k) E[k][j], checked."""
+    rw = table.symbol(j, _source_weight, streamed)
+    if not _b.weyl_is_antihermitian(rw):
         raise EngineError(f"order {j}: R_j is not anti-Hermitian (corrupted lower orders?)")
+    r = OperatorExpr.from_raw(_b.to_normal(rw))
     deg = scaling_degree(r)
     expected = 2 - weight * j
     if not (r.is_zero() or deg == expected):
         raise EngineError(f"order {j}: R_j has scaling degree {deg}, expected {expected}")
-    return r
+    return r, rw
 
 
 def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None = None,
@@ -167,27 +173,26 @@ def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None 
     if len(prior_q) < j - 1:
         raise ValueError(f"order {j} needs all lower orders, got {len(prior_q)}")
     table = NestedCommutators({1: h1() if h1_op is None else h1_op}, prior_q[:j - 1])
-    return _source(j, table, weight, streamed=True)
+    return _source(j, table, weight, streamed=True)[0]
 
 
 def solve_commutator_equation(r: OperatorExpr) -> OperatorExpr:
     """One particular Hermitian solution of [p^2/2, Q] = R.
 
-    Works by strictly descending x-degree along each diagonal of fixed
-    p-power minus x-power and parity, in integers (``_core_py.solve_h0``):
-    the target term c x^a p^b is produced by (i c / (a+1)) x^(a+1) p^(b-1),
-    whose commutator with H0 leaves a remainder at x^(a-1) p^(b-1).  The
-    raw solution is then projected onto its Hermitian part, which is
-    still a solution because R is anti-Hermitian.
+    On Weyl symbols [p^2/2, .] is -i p d/dx, so each term r W(x^a p^b) P^e
+    of R is produced by (i r / (a+1)) W(x^(a+1) p^(b-1)) P^e
+    (``_core_py.weyl_solve_h0``).  That solution is Hermitian because R is
+    anti-Hermitian; it is returned normal-ordered.
     """
     if not r.is_antihermitian():
         raise EngineError("solve_commutator_equation requires an anti-Hermitian input")
-    return _solve(r)
+    return _solve(r, _b.to_weyl(r.raw))
 
 
-def _solve(r: OperatorExpr) -> OperatorExpr:
-    """The solver's body, for an R already checked to be anti-Hermitian."""
-    sol = OperatorExpr.from_raw(_b.solve_h0(r.raw)).hermitian_part()
+def _solve(r: OperatorExpr, rw: dict) -> OperatorExpr:
+    """The solver's body, for an R already checked to be anti-Hermitian
+    and its Weyl symbol rw; the round trip runs in normal order."""
+    sol = OperatorExpr.from_raw(_b.to_normal(_b.weyl_solve_h0(rw)))
     if commutator(h0(), sol) != r:
         raise EngineError("commutator equation round trip failed")
     return sol
@@ -257,12 +262,6 @@ def _canonical_parts(j: int, particular: OperatorExpr, params: MetricParams,
     return stripped, hom, q
 
 
-def canonical_q(j: int, particular: OperatorExpr, params: MetricParams,
-                weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
-    """Canonical order-j generator: stripped particular plus homogeneous part."""
-    return _canonical_parts(j, particular, params, weight)[2]
-
-
 # ---------------------------------------------------------------------------
 # the assembled series
 
@@ -322,15 +321,15 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
     for j in range(1, params.order + 1):
         try:
             # No later order reads the even entries of columns N-1 and N.
-            r = _source(j, table, weight, streamed=j >= params.order - 1)
-            particular = _solve(r)
+            r, rw = _source(j, table, weight, streamed=j >= params.order - 1)
+            particular = _solve(r, rw)
             stripped, hom, q = _canonical_parts(j, particular, params, weight)
         except EngineError:
             raise
         except Exception as exc:  # pragma: no cover - defensive context wrapper
             raise EngineError(f"order {j}: {exc}") from exc
         records.append(OrderRecord(j, r, stripped, hom, q))
-        table.q.append(q)
+        table.add(q)
     qs = QSeries(params, weight, records, h1_op)
     qs._table = table
     return qs
@@ -342,7 +341,7 @@ def _extension(qs, weight=None):
     against [H0, Q_m] = R_m for a series built by hand; column N+1 is streamed."""
     j = qs.order + 1
     table = qs._table if qs._table is not None else NestedCommutators({1: qs.h1_op}, qs.q_list())
-    stripped = strip_x_free(_solve(_source(j, table, qs.weight, streamed=True)), j, qs.weight)[0]
+    stripped = strip_x_free(_solve(*_source(j, table, qs.weight, streamed=True)), j, qs.weight)[0]
     if weight is None:
         return stripped, {}
     if qs._table is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from . import backend as _b
 from .algebra import OperatorExpr, commutator_sum, require_int
 
 
@@ -128,24 +129,38 @@ class NestedCommutators:
     entry is kept in `memo` and a weighted column sum (weight: k -> weight
     of E[k]) in `sums`, each formed when first read; the Q_s only grow at
     the end of `q`, so both stay valid as the table grows.
+
+    The seed and each Q_s are converted to Weyl symbols once, when they
+    join the table (``add``), and the entries and sums are kept as raw
+    Weyl symbols, whose commutators need far fewer reordering terms than
+    normal-ordered ones (see ``_core_py``).  ``symbol`` hands out a column
+    sum as it is kept, and ``total`` normal-orders it.
     """
 
-    __slots__ = ("seed", "lo", "q", "memo", "sums")
+    __slots__ = ("seed", "lo", "q", "qw", "memo", "sums")
 
     def __init__(self, seed, q=()):
-        self.seed = dict(seed)
+        self.seed = {m: _b.to_weyl(a.raw) for m, a in seed.items()}
         self.lo = min(self.seed, default=0)
-        self.q = list(q)  # Q_1, Q_2, ...
+        self.q = []       # Q_1, Q_2, ...
+        self.qw = []      # their Weyl symbols
         self.memo = {}    # (k, m) -> E[k][m]
         self.sums = {}    # (m, weight, shift) -> sum_k weight(k + shift) E[k][m]
+        for qs in q:
+            self.add(qs)
+
+    def add(self, q):
+        """Append the next order's generator Q_s."""
+        self.q.append(q)
+        self.qw.append(_b.to_weyl(q.raw))
 
     def entry(self, k, m):
         if k == 0:
-            return self.seed.get(m, OperatorExpr.zero())
+            return self.seed.get(m, {})
         e = self.memo.get((k, m))
         if e is None:
-            e = self.memo[k, m] = commutator_sum(
-                (self.entry(k - 1, m - s), self.q[s - 1]) for s in range(1, m - k - self.lo + 2))
+            e = self.memo[k, m] = _b.weyl_commutator(
+                [(self.entry(k - 1, m - s), self.qw[s - 1]) for s in range(1, m - k - self.lo + 2)])
         return e
 
     def _formed(self, m, weight, shift=0):
@@ -153,17 +168,28 @@ class NestedCommutators:
         key = (m, weight, shift)
         f = self.sums.get(key)
         if f is None:
-            f = self.sums[key] = sum(
-                (self.entry(k, m).scale(w)
-                 for k in range(m - self.lo + 1) if (w := weight(k + shift))),
-                OperatorExpr.zero())
+            f = {}
+            for k in range(m - self.lo + 1):
+                if w := weight(k + shift):
+                    f = _b.expr_add(f, _b.expr_scale(self.entry(k, m), _scalar(w)))
+            self.sums[key] = f
         return f
 
-    def total(self, m, weight, streamed=False):
-        """sum_k weight(k) E[k][m].  Streamed, for a column no later order
-        reads, it is weight(0) A_m + sum_{s=1..m-lo} [F_s, Q_s] with F_s =
-        sum_k weight(k + 1) E[k][m-s], one kernel call that forms no E[k][m]."""
+    def symbol(self, m, weight, streamed=False):
+        """The Weyl symbol of sum_k weight(k) E[k][m].  Streamed, for a
+        column no later order reads, it is weight(0) A_m + sum_{s=1..m-lo}
+        [F_s, Q_s] with F_s = sum_k weight(k + 1) E[k][m-s], one kernel call
+        that forms no E[k][m]."""
         if not streamed:
             return self._formed(m, weight)
-        return self.entry(0, m).scale(weight(0)) + commutator_sum(
-            (self._formed(m - s, weight, 1), self.q[s - 1]) for s in range(1, m - self.lo + 1))
+        return _b.expr_add(_b.expr_scale(self.entry(0, m), _scalar(weight(0))), _b.weyl_commutator(
+            [(self._formed(m - s, weight, 1), self.qw[s - 1]) for s in range(1, m - self.lo + 1)]))
+
+    def total(self, m, weight, streamed=False):
+        """sum_k weight(k) E[k][m], normal-ordered."""
+        return OperatorExpr.from_raw(_b.to_normal(self.symbol(m, weight, streamed)))
+
+
+def _scalar(w):
+    """A Fraction weight as a core scalar."""
+    return (w.numerator, 0, w.denominator)

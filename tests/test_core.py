@@ -1,6 +1,7 @@
 """The product and commutator kernels against a reference product on
-Fraction pairs, plus the kernel identities, the sums over pair lists and
-the grouped adjoint."""
+Fraction pairs, plus the kernel identities, the sums over pair lists,
+the grouped adjoint, and the Weyl-symbol layer: the conversions, the
+Moyal commutator, the anti-Hermiticity test and the solver."""
 
 import math
 from fractions import Fraction
@@ -336,18 +337,65 @@ def ref_solve(r):
 
 @settings(deadline=None)
 @given(op_tables() | wide_pairs().map(lambda pair: pair[0]))
-def test_integer_elimination_matches_reference(a):
+def test_weyl_solver_matches_reference(a):
     # R = A - A+ is anti-Hermitian, as every source term is; A draws
     # coefficients with both parts over several symbols, parity terms
-    # and negative p powers.
+    # and negative p powers.  Two Hermitian solutions differ by an
+    # x-free operator, so the x-carrying terms must match the Hermitian
+    # part of the reference elimination.
     expr = OperatorExpr.from_raw(a)
     r = (expr - expr.adjoint()).raw
     before = _snapshot(r)
-    got = core.solve_h0(r)
-    assert got == ref_solve(r)
+    symbol = core.weyl_solve_h0(core.to_weyl(r))
+    assert_canonical(symbol)
+    got = core.to_normal(symbol)
     assert_canonical(got)
     assert r == before
     assert core.expr_commutator([({(0, 2, 0): {(): (1, 0, 2)}}, got)]) == r
+    assert OperatorExpr.from_raw(got).is_hermitian()
+    ref = OperatorExpr.from_raw(ref_solve(r))
+    ref = (ref + ref.adjoint()).scale(Fraction(1, 2)).raw
+    assert ({k: p for k, p in got.items() if k[0]}
+            == {k: p for k, p in ref.items() if k[0]})
+
+
+# -- Weyl symbols ---------------------------------------------------------------
+
+def test_weyl_symbol_of_xp():
+    # x p = W(x p) + (i/2) W(1), and the coefficient of W(x^a p^b) is
+    # kept over 2^a.
+    xp = {(1, 1, 0): {(): core.Q_ONE}}
+    assert core.to_weyl(xp) == {(1, 1, 0): {(): (1, 0, 2)}, (0, 0, 0): {(): (0, 1, 2)}}
+
+
+@settings(deadline=None)
+@given(op_tables() | wide_pairs().map(lambda pair: pair[0]))
+def test_weyl_conversions_are_inverse(a):
+    before = _snapshot(a)
+    symbol = core.to_weyl(a)
+    assert_canonical(symbol)
+    assert core.to_normal(symbol) == a
+    back = core.to_normal(a)
+    assert_canonical(back)
+    assert core.to_weyl(back) == a
+    assert a == before
+
+
+@settings(deadline=None)
+@given(pairs)
+def test_moyal_commutator_matches_normal_order(pair):
+    a, b = pair
+    got = core.weyl_commutator([(core.to_weyl(a), core.to_weyl(b))])
+    assert_canonical(got)
+    assert core.to_normal(got) == core.expr_commutator([(a, b)])
+
+
+@settings(deadline=None)
+@given(op_tables() | wide_pairs().map(lambda pair: pair[0]))
+def test_weyl_antihermiticity_matches_adjoint(a):
+    expr = OperatorExpr.from_raw(a)
+    for t in (expr, expr - expr.adjoint(), expr + expr.adjoint()):
+        assert core.weyl_is_antihermitian(core.to_weyl(t.raw)) == t.is_antihermitian()
 
 
 def test_scalar_helpers_are_called_through_module_globals(monkeypatch, formal3):
@@ -360,7 +408,7 @@ def test_scalar_helpers_are_called_through_module_globals(monkeypatch, formal3):
             return _fn(*args)
         monkeypatch.setattr(core, name, counted)
     a, b = formal3.q(2).raw, formal3.q(1).raw
-    for kernel in (core.expr_commutator, core.expr_mul):
+    for kernel in (core.expr_commutator, core.expr_mul, core.weyl_commutator):
         counts.clear()
         assert kernel([(a, b)])
         assert set(counts) == {"q_make", "ev_mul", "gcd"}, kernel.__name__

@@ -105,6 +105,17 @@ def test_default_orbit(hc):
     assert h == pytest.approx(hc.evaluate(x, p, 0.1), rel=1e-12)
 
 
+def test_exact_epsilon_is_used_as_a_float(hc):
+    # An exact epsilon is rounded once, as the CLI's float is, not raised
+    # to its powers exactly before rounding.
+    exact = integrate_orbit(hc, F(1, 10), dt=1e-2, periods=1)
+    plain = integrate_orbit(hc, 0.1, dt=1e-2, periods=1)
+    assert type(exact.epsilon) is float and exact.epsilon == 0.1
+    assert list(exact.rows) == list(plain.rows)
+    assert exact.period == plain.period
+    assert exact.energy_drift == plain.energy_drift
+
+
 def test_drift_scales_as_dt_fourth(hc):
     fine = integrate_orbit(hc, 0.1, dt=1e-3)
     coarse = integrate_orbit(hc, 0.1, dt=2e-3)

@@ -195,6 +195,15 @@ def test_defining_relation_through_order_8(formal8_raws, seed):
     assert residual == [{}] * 9
 
 
+def test_defining_relation_through_order_10():
+    # Order 10 reaches beyond every order the CLI serves; the engine's
+    # nested-commutator table runs on Weyl symbols, which this file's
+    # normal-ordered products share nothing with.
+    qs = derive_metric_series(MetricParams.formal(10))
+    residual = defining_residual([q.raw for q in qs.q_list()], Point(1))
+    assert residual == [{}] * 11
+
+
 @pytest.mark.parametrize("order", [6, 8])
 def test_residual_sees_a_perturbed_coefficient(formal8_raws, order):
     raws = list(formal8_raws)

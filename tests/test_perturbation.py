@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmetric._core_py import to_normal
 from qmetric.algebra import OperatorExpr, commutator, h0, h1
 from qmetric.errors import EngineError
 from qmetric.observables import _hermitian_weight
@@ -254,7 +255,8 @@ def test_recorded_sources_match_standalone_build_r():
 def test_streamed_column_matches_weighted_entries():
     # A streamed sum is regrouped into one commutator per Q_s without
     # forming the column's entries; it must equal the entries E[k][m]
-    # weighted term by term, through the column past the derived order.
+    # (Weyl symbols, normal-ordered here) weighted term by term, through
+    # the column past the derived order.
     # The dressing's table is seeded with x at order 0 and read with the
     # weights (-1/2)^k / k! of e^{-L/2}, for orders 0..N.
     def conjugation(k):
@@ -272,7 +274,7 @@ def test_streamed_column_matches_weighted_entries():
             want = OperatorExpr.zero()
             for k in range(m - t.lo + 1):
                 if weight(k):
-                    want = want + t.entry(k, m).scale(weight(k))
+                    want = want + OperatorExpr.from_raw(to_normal(t.entry(k, m))).scale(weight(k))
             assert streamed == want, (m, weight.__name__)
 
 
