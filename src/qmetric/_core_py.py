@@ -58,9 +58,14 @@ frame, the commutator of W(x^a1 p^b1) P^e1 and W(x^a2 p^b2) P^e2 then
 has the integer weight (-1)^k 2 s12 S_k at x^(a1+a2-k) p^(b1+b2-k), with
 S_k = sum_j C(a1,j) ff(b2,j) (-1)^(k-j) C(a2,k-j) ff(b1,k-j) and s12,
 s21 the parity signs of the two products; only odd k survive when
-s12 = s21, only even k otherwise (_moyal_weights).  So weyl_commutator
-is the same kernel with other weights, and far fewer monomial pairs and
-output slots carry a nonzero weight than in normal order.  On symbols
+s12 = s21, only even k otherwise.  So weyl_commutator is the same kernel
+with other weights, and far fewer monomial pairs and output slots carry
+a nonzero weight than in normal order.  S depends on (a1, b1, a2, b2)
+alone, so each weyl_commutator call makes its own weights function
+(_moyal_weights), which keeps each S it forms for that call: the up to
+four parity variants of a monomial pair, and a pair met again in another
+operand pair, share one convolution, and only the sign and the odd or
+even selection differ.  Nothing is kept between calls.  On symbols
 [p^2/2, .] is -i p d/dx, so weyl_solve_h0 solves term by term, and its
 solution is Hermitian when R is anti-Hermitian, which
 weyl_is_antihermitian reads off the coefficients.
@@ -396,16 +401,9 @@ def expr_commutator(pairs):
     return _int_kernel(pairs, _commutator_weights)
 
 
-def _moyal_weights(a1, b1, e1, a2, b2, e2):
-    """[(k, n)] with [m1, m2] = sum_k n x^(a1+a2-k) p^(b1+b2-k) P^(e1^e2) on
-    Weyl symbols in the rotated frame (see the module docstring).
-
-    n = (-1)^k 2 s12 S_k with S = U * V, the convolution of
-    U_j = C(a1,j) ff(b2,j) and V_i = (-1)^i C(a2,i) ff(b1,i); only odd k
-    survive when the parity signs s12 and s21 agree, only even k otherwise.
-    """
-    s12 = -1 if (e1 and ((a2 + b2) & 1)) else 1
-    s21 = -1 if (e2 and ((a1 + b1) & 1)) else 1
+def _moyal_conv(a1, b1, a2, b2):
+    """S = U * V, the convolution of U_j = C(a1,j) ff(b2,j) and
+    V_i = (-1)^i C(a2,i) ff(b1,i), each cut before its first zero."""
     u = [1]
     for j in range(1, a1 + 1):
         n = u[-1] * (a1 - j + 1) * (b2 - j + 1) // j
@@ -419,22 +417,46 @@ def _moyal_weights(a1, b1, e1, a2, b2, e2):
             break
         v.append(n)
     if len(u) == 1:
-        conv = v
-    elif len(v) == 1:
-        conv = u
-    else:
-        conv = [0] * (len(u) + len(v) - 1)
-        for j, x in enumerate(u):
-            for k, y in enumerate(v, j):
-                conv[k] += x * y
-    odd = s12 == s21
-    two = -2 * s12 if odd else 2 * s12
-    return [(k, two * n) for k in range(odd, len(conv), 2) if (n := conv[k])]
+        return v
+    if len(v) == 1:
+        return u
+    conv = [0] * (len(u) + len(v) - 1)
+    for j, x in enumerate(u):
+        for k, y in enumerate(v, j):
+            conv[k] += x * y
+    return conv
+
+
+def _moyal_weights():
+    """A fresh weights function for one weyl_commutator call.
+
+    It gives [(k, n)] with [m1, m2] = sum_k n x^(a1+a2-k) p^(b1+b2-k)
+    P^(e1^e2) on Weyl symbols in the rotated frame (see the module
+    docstring): n = (-1)^k 2 s12 S_k, only odd k when the parity signs s12
+    and s21 agree, only even k otherwise.  S depends on (a1, b1, a2, b2)
+    alone, so it is kept for the call and the up to four parity variants
+    of a monomial pair share one convolution.
+    """
+    convs = {}
+    get = convs.get
+
+    def weights(a1, b1, e1, a2, b2, e2):
+        key = (a1, b1, a2, b2)
+        conv = get(key)
+        if conv is None:
+            conv = convs[key] = _moyal_conv(a1, b1, a2, b2)
+        s12 = -1 if (e1 and ((a2 + b2) & 1)) else 1
+        s21 = -1 if (e2 and ((a1 + b1) & 1)) else 1
+        odd = s12 == s21
+        two = -2 * s12 if odd else 2 * s12
+        return [(k, two * n) for k in range(odd, len(conv), 2) if (n := conv[k])]
+
+    return weights
 
 
 def weyl_commutator(pairs):
     """Sum of the commutators [t1, t2] over the (t1, t2) pairs of Weyl symbols."""
-    return _int_kernel(pairs, _moyal_weights)
+    return _int_kernel(pairs, _moyal_weights())
 
 
 def _reorder(t, weyl):

@@ -106,11 +106,6 @@ class XYPoly:
         """x <-> y."""
         return XYPoly.from_terms({(j, i): c for (i, j), c in self._t.items()})
 
-    def reflect_y(self) -> "XYPoly":
-        """y -> -y."""
-        return XYPoly.from_terms({(i, j): c if j % 2 == 0 else _b.q_neg(c)
-                                  for (i, j), c in self._t.items()})
-
     def deriv_x(self) -> "XYPoly":
         return XYPoly.from_terms({(i - 1, j): _b.q_mul(c, GaussianRational(i).tuple)
                                   for (i, j), c in self._t.items() if i > 0})

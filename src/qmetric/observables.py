@@ -4,7 +4,8 @@ classical limit.
 With L X = [X, Q], the dressed observables e^{Q/2} A e^{-Q/2} = e^{-L/2} A
 and the Hermitian Hamiltonian H0 + tanh(L/4) eps H1 are weighted sums of
 the nested commutators of ``series.NestedCommutators``: X and P from a
-table seeded with x and p, h from the one the derivation already holds.
+table seeded with x and p, which shares the derivation's Weyl symbols of
+the Q_s, h from the derivation's own table.
 """
 
 from __future__ import annotations
@@ -31,8 +32,14 @@ def conjugate_by_sqrt_metric(a: SeriesExpr, q: SeriesExpr, sign: int = 1) -> Ser
     if not q.coeff(0).is_zero():
         raise ValueError("Q must vanish at order 0")
     n = min(a.order, q.order)
-    table = NestedCommutators({j: a.coeff(j) for j in a.indices()},
-                              [q.coeff(s) for s in range(1, n + 1)])
+    return _conjugated(a, [q.coeff(s) for s in range(1, n + 1)], None, sign)
+
+
+def _conjugated(a: SeriesExpr, q: list, qw: list | None, sign: int) -> SeriesExpr:
+    """e^{-sign*L/2} A through order len(q), from Q_1..Q_n and their Weyl
+    symbols qw (converted here when None)."""
+    n = len(q)
+    table = NestedCommutators({j: a.coeff(j) for j in a.indices()}, q, qw)
 
     def weight(k):
         return Fraction((-sign) ** k, 2 ** k * math.factorial(k))
@@ -40,16 +47,24 @@ def conjugate_by_sqrt_metric(a: SeriesExpr, q: SeriesExpr, sign: int = 1) -> Ser
     return SeriesExpr(n, {m: table.total(m, weight, streamed=m == n) for m in range(n + 1)})
 
 
+def _dressed(op: OperatorExpr, qs: QSeries) -> SeriesExpr:
+    """e^{Q/2} op e^{-Q/2} through the derived order; a derived series
+    lends its table's Weyl symbols of the Q_s, a hand-built one is
+    converted."""
+    a = SeriesExpr.of(op, order=qs.order)
+    if qs._table is None:
+        return conjugate_by_sqrt_metric(a, qs.series(), sign=1)
+    return _conjugated(a, qs.q_list(), qs._table.qw, 1)
+
+
 def observable_x(qs: QSeries) -> SeriesExpr:
     """Physical position through the derived order."""
-    x = SeriesExpr.of(OperatorExpr.x_power(1), order=qs.order)
-    return conjugate_by_sqrt_metric(x, qs.series(), sign=1)
+    return _dressed(OperatorExpr.x_power(1), qs)
 
 
 def observable_p(qs: QSeries) -> SeriesExpr:
     """Physical momentum through the derived order."""
-    p = SeriesExpr.of(OperatorExpr.p_power(1), order=qs.order)
-    return conjugate_by_sqrt_metric(p, qs.series(), sign=1)
+    return _dressed(OperatorExpr.p_power(1), qs)
 
 
 def _hermitian_weight(k: int) -> Fraction:

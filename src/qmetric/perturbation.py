@@ -20,7 +20,9 @@ Q_j Hermitian.  Order j is obtained in three steps:
 3. ``strip_x_free`` and ``homogeneous_q``: move every x-free piece of the
    particular solution into the free parameters and attach the
    homogeneous terms lambda_j p^(-5j) + i^j kappa_j p^(-5j) P; the sum
-   Q_j is checked Hermitian and joins the table as a Weyl symbol.
+   Q_j is checked Hermitian and joins the table with its Weyl symbol:
+   the solver's symbol, corrected by the x-free terms in which Q_j
+   differs from the particular solution.
 
 The x^3 perturbation makes every order scaling-homogeneous: counting
 deg(x) = -1, deg(p) = +1, order j carries degree -5j (the 5 is the
@@ -186,16 +188,18 @@ def solve_commutator_equation(r: OperatorExpr) -> OperatorExpr:
     """
     if not r.is_antihermitian():
         raise EngineError("solve_commutator_equation requires an anti-Hermitian input")
-    return _solve(r, _b.to_weyl(r.raw))
+    return _solve(r, _b.to_weyl(r.raw))[0]
 
 
-def _solve(r: OperatorExpr, rw: dict) -> OperatorExpr:
+def _solve(r: OperatorExpr, rw: dict) -> tuple[OperatorExpr, dict]:
     """The solver's body, for an R already checked to be anti-Hermitian
-    and its Weyl symbol rw; the round trip runs in normal order."""
-    sol = OperatorExpr.from_raw(_b.to_normal(_b.weyl_solve_h0(rw)))
+    and its Weyl symbol rw: (the solution normal-ordered, its symbol).
+    The round trip runs in normal order."""
+    sw = _b.weyl_solve_h0(rw)
+    sol = OperatorExpr.from_raw(_b.to_normal(sw))
     if commutator(h0(), sol) != r:
         raise EngineError("commutator equation round trip failed")
-    return sol
+    return sol, sw
 
 
 def strip_x_free(particular: OperatorExpr, j: int, weight: int = DEFAULT_WEIGHT
@@ -213,33 +217,29 @@ def strip_x_free(particular: OperatorExpr, j: int, weight: int = DEFAULT_WEIGHT
     same equation.
     """
     b_expected = -weight * j
-    rest = OperatorExpr.zero()
-    raw_plain = ParamPoly(0)
-    raw_parity = ParamPoly(0)
-    for mono, coeff in particular.terms():
-        if mono.xPow != 0:
-            rest = rest + OperatorExpr.monomial(coeff, mono.xPow, mono.pPow, mono.parity)
-            continue
-        if mono.pPow != b_expected:
-            raise EngineError(
-                f"order {j}: x-free term carries p^{mono.pPow}, expected p^{b_expected}")
-        if mono.parity:
-            raw_parity = raw_parity + coeff
+    stripped = {}
+    raw_plain = raw_parity = ParamPoly(0)
+    for (a, b, e), p in particular.raw.items():
+        if a:
+            stripped[a, b, e] = p
+        elif b != b_expected:
+            raise EngineError(f"order {j}: x-free term carries p^{b}, expected p^{b_expected}")
+        elif e:
+            raw_parity = ParamPoly.from_terms(p)
         else:
-            raw_plain = raw_plain + coeff
+            raw_plain = ParamPoly.from_terms(p)
     half = ParamPoly(Fraction(1, 2))
     i_pow = I_POWERS[j % 4]
     plain = (raw_plain + raw_plain.conjugate()) * half
     rotated = raw_parity * ParamPoly(I_POWERS[-j % 4])
     parity = (rotated + rotated.conjugate()) * half
-    stripped = rest
     left_plain = raw_plain + plain * ParamPoly(-1)
     left_parity = raw_parity + parity * ParamPoly(-i_pow)
     if not left_plain.is_zero():
-        stripped = stripped + OperatorExpr.monomial(left_plain, 0, b_expected, False)
+        stripped[0, b_expected, 0] = left_plain.terms
     if not left_parity.is_zero():
-        stripped = stripped + OperatorExpr.monomial(left_parity, 0, b_expected, True)
-    return stripped, plain, parity
+        stripped[0, b_expected, 1] = left_parity.terms
+    return OperatorExpr.from_raw(stripped), plain, parity
 
 
 def homogeneous_q(j: int, lam: ParamPoly, kap: ParamPoly, weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
@@ -260,6 +260,21 @@ def _canonical_parts(j: int, particular: OperatorExpr, params: MetricParams,
     if not (q.is_zero() or deg == -weight * j):
         raise EngineError(f"order {j}: Q_j has scaling degree {deg}, expected {-weight * j}")
     return stripped, hom, q
+
+
+def _q_symbol(q: OperatorExpr, particular: OperatorExpr, sw: dict) -> dict:
+    """The Weyl symbol of Q_j, from the solver's symbol sw of `particular`.
+
+    The two operators differ only in x-free terms, and an x-free term
+    x^0 p^b P^e is its own symbol, so the symbol of Q_j is sw plus that
+    difference; sw itself has no x-free term (the solver raises every
+    x-power by one).
+    """
+    qw = dict(sw)
+    for key in dict.fromkeys(k for raw in (particular.raw, q.raw) for k in raw if not k[0]):
+        if p := _b.poly_add(q.raw.get(key, {}), _b.poly_neg(particular.raw.get(key, {}))):
+            qw[key] = p
+    return qw
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +337,14 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
         try:
             # No later order reads the even entries of columns N-1 and N.
             r, rw = _source(j, table, weight, streamed=j >= params.order - 1)
-            particular = _solve(r, rw)
+            particular, sw = _solve(r, rw)
             stripped, hom, q = _canonical_parts(j, particular, params, weight)
         except EngineError:
             raise
         except Exception as exc:  # pragma: no cover - defensive context wrapper
             raise EngineError(f"order {j}: {exc}") from exc
         records.append(OrderRecord(j, r, stripped, hom, q))
-        table.add(q)
+        table.add(q, _q_symbol(q, particular, sw))
     qs = QSeries(params, weight, records, h1_op)
     qs._table = table
     return qs
@@ -341,7 +356,7 @@ def _extension(qs, weight=None):
     against [H0, Q_m] = R_m for a series built by hand; column N+1 is streamed."""
     j = qs.order + 1
     table = qs._table if qs._table is not None else NestedCommutators({1: qs.h1_op}, qs.q_list())
-    stripped = strip_x_free(_solve(*_source(j, table, qs.weight, streamed=True)), j, qs.weight)[0]
+    stripped = strip_x_free(_solve(*_source(j, table, qs.weight, streamed=True))[0], j, qs.weight)[0]
     if weight is None:
         return stripped, {}
     if qs._table is None:

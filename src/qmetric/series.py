@@ -130,29 +130,32 @@ class NestedCommutators:
     of E[k]) in `sums`, each formed when first read; the Q_s only grow at
     the end of `q`, so both stay valid as the table grows.
 
-    The seed and each Q_s are converted to Weyl symbols once, when they
-    join the table (``add``), and the entries and sums are kept as raw
-    Weyl symbols, whose commutators need far fewer reordering terms than
-    normal-ordered ones (see ``_core_py``).  ``symbol`` hands out a column
-    sum as it is kept, and ``total`` normal-orders it.
+    The entries and sums are kept as raw Weyl symbols, whose commutators
+    need far fewer reordering terms than normal-ordered ones (see
+    ``_core_py``).  The seed is converted once, and each Q_s joins the
+    table (``add``) with its symbol: the derivation has it from the
+    solver, and the tables of X and P share the derivation's symbols
+    (``qw``); given only the Q_s, the constructor converts them.
+    ``symbol`` hands out a column sum as it is kept, and ``total``
+    normal-orders it.
     """
 
     __slots__ = ("seed", "lo", "q", "qw", "memo", "sums")
 
-    def __init__(self, seed, q=()):
+    def __init__(self, seed, q=(), qw=None):
         self.seed = {m: _b.to_weyl(a.raw) for m, a in seed.items()}
         self.lo = min(self.seed, default=0)
         self.q = []       # Q_1, Q_2, ...
         self.qw = []      # their Weyl symbols
         self.memo = {}    # (k, m) -> E[k][m]
         self.sums = {}    # (m, weight, shift) -> sum_k weight(k + shift) E[k][m]
-        for qs in q:
-            self.add(qs)
+        for s, qs in enumerate(q):
+            self.add(qs, _b.to_weyl(qs.raw) if qw is None else qw[s])
 
-    def add(self, q):
-        """Append the next order's generator Q_s."""
+    def add(self, q, qw):
+        """Append the next order's generator Q_s and its Weyl symbol qw."""
         self.q.append(q)
-        self.qw.append(_b.to_weyl(q.raw))
+        self.qw.append(qw)
 
     def entry(self, k, m):
         if k == 0:

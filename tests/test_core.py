@@ -390,6 +390,40 @@ def test_moyal_commutator_matches_normal_order(pair):
     assert core.to_normal(got) == core.expr_commutator([(a, b)])
 
 
+def _direct_moyal_weights(a1, b1, e1, a2, b2, e2):
+    """(-1)^k 2 s12 S_k, S_k = sum_j C(a1,j) ff(b2,j) (-1)^(k-j) C(a2,k-j)
+    ff(b1,k-j) summed term by term; odd k when s12 = s21, even k otherwise."""
+    s12 = -1 if e1 and (a2 + b2) % 2 else 1
+    s21 = -1 if e2 and (a1 + b1) % 2 else 1
+    out = []
+    for k in range(1 if s12 == s21 else 0, a1 + a2 + 1, 2):
+        s = sum(math.comb(a1, j) * math.prod(b2 - i for i in range(j))
+                * (-1) ** (k - j) * math.comb(a2, k - j) * math.prod(b1 - i for i in range(k - j))
+                for j in range(k + 1))
+        if s:
+            out.append((k, (-1) ** k * 2 * s12 * s))
+    return out
+
+
+def test_moyal_weights_match_direct_sum():
+    # One weights function serves a whole weyl_commutator call and keeps
+    # S per (a1, b1, a2, b2), shared by the parity variants of a pair.
+    # Every pair of the box meets one function with all four variants,
+    # in both operand orders, with the box walked forward and backward,
+    # so a key that dropped a coordinate would hand out another pair's S.
+    parities = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    box = [(a1, b1, a2, b2) for a1 in range(7) for b1 in range(-4, 5)
+           for a2 in range(7) for b2 in range(-4, 5)]
+    want = {(a1, b1, e1, a2, b2, e2): _direct_moyal_weights(a1, b1, e1, a2, b2, e2)
+            for a1, b1, a2, b2 in box for e1, e2 in parities}
+    for walk in (box, box[::-1]):
+        weights = core._moyal_weights()
+        for a1, b1, a2, b2 in walk:
+            for e1, e2 in parities:
+                for args in ((a1, b1, e1, a2, b2, e2), (a2, b2, e2, a1, b1, e1)):
+                    assert weights(*args) == want[args], args
+
+
 @settings(deadline=None)
 @given(op_tables() | wide_pairs().map(lambda pair: pair[0]))
 def test_weyl_antihermiticity_matches_adjoint(a):

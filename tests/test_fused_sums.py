@@ -2,7 +2,8 @@
 loops they replaced: series_commutator, the nested-commutator entries
 E[k][m] of the derivation's and the dressing's tables, and the adjoint.
 Exact arithmetic makes regrouping a sum exact, so the results must be
-equal."""
+equal.  The Weyl symbols the derivation keeps for its own table and
+lends to the X and P tables must equal a fresh conversion of each Q_s."""
 
 import math
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from qmetric import _core_py as core
 from qmetric.algebra import OperatorExpr, commutator
 from qmetric.observables import equivalent_hermitian, observable_p, observable_x
-from qmetric.perturbation import MetricParams, derive_metric_series
+from qmetric.perturbation import MetricParams, QSeries, derive_metric_series
 from qmetric.series import NestedCommutators, SeriesExpr, series_commutator
 
 
@@ -114,3 +115,26 @@ def test_adjoint_matches_per_group_loop(derived):
     exprs += [qs.q(1) * x.coeff(1), p.coeff(2) * qs.q(2)]  # neither Hermitian
     for e in exprs:
         assert e.adjoint() == looped_adjoint(e)
+
+
+@pytest.mark.parametrize("params", [
+    MetricParams.formal(8),
+    MetricParams.numeric(8, lam=[Fraction(3, 7)], kap=[Fraction(-2, 5)]),
+], ids=["formal8", "numeric8-odd-kappa"])
+def test_table_symbols_are_those_of_the_records(params):
+    # Each symbol is the solver's, corrected by the x-free terms in which
+    # Q_s differs from the particular solution; no Q_s is converted.
+    qs = derive_metric_series(params)
+    assert len(qs._table.qw) == params.order
+    for s in range(1, params.order + 1):
+        assert qs._table.qw[s - 1] == core.to_weyl(qs.q(s).raw), s
+
+
+def test_dressing_matches_a_hand_built_series(derived):
+    # X and P of a derived series read its table's symbols; a series
+    # rebuilt from the same records has no table and converts its Q_s.
+    qs, x, p = derived
+    rebuilt = QSeries(qs.params, qs.weight, qs.orders, qs.h1_op)
+    assert rebuilt._table is None
+    assert observable_x(rebuilt) == x
+    assert observable_p(rebuilt) == p

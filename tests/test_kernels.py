@@ -140,5 +140,4 @@ def test_xypoly_calculus():
     assert f.deriv_x() == X * Y.scale(2)
     assert f.deriv_y() == X * X
     assert f.swap() == Y * Y * X
-    assert f.reflect_y() == -(X * X * Y)
     assert f.substitute_y(X) == X * X * X

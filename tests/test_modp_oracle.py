@@ -218,8 +218,7 @@ def test_residual_sees_a_perturbed_coefficient(formal8_raws, order):
     assert not any(residual[:order])
 
 
-def test_dressed_canonical_commutator_through_order_6():
-    n = 6
+def dressed_canonical_commutator(n):
     qs = derive_metric_series(MetricParams.formal(n))
     point = Point(3)
     x_series, p_series = observable_x(qs), observable_p(qs)
@@ -240,7 +239,17 @@ def test_dressed_canonical_commutator_through_order_6():
         assert series_mul(series_mul(up, bare_series), down) == dressed
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def test_dressed_canonical_commutator_through_order_6():
+    dressed_canonical_commutator(6)
+
+
+def test_dressed_canonical_commutator_through_order_8():
+    # Order 8 is the highest that derive serves; X and P read the Weyl
+    # symbols of the Q_s that the derivation keeps.
+    dressed_canonical_commutator(8)
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), 8])
 def test_equivalent_hermitian_through_order(n):
     # h = e^{-Q/2} (H0 + eps H1) e^{Q/2} through eps^(n+1), with Q_{n+1}
     # the engine's zero-parameter extension and both exponentials summed
