@@ -219,6 +219,8 @@ def test_residual_sees_a_perturbed_coefficient(formal8_raws, order):
 
 
 def dressed_canonical_commutator(n):
+    """[X, P] = i order by order through eps^n for formal(n), and X and P
+    equal to the bare x and p conjugated by e^{Q/2} built here."""
     qs = derive_metric_series(MetricParams.formal(n))
     point = Point(3)
     x_series, p_series = observable_x(qs), observable_p(qs)
