@@ -68,7 +68,15 @@ operand pair, share one convolution, and only the sign and the odd or
 even selection differ.  Nothing is kept between calls.  On symbols
 [p^2/2, .] is -i p d/dx, so weyl_solve_h0 solves term by term, and its
 solution is Hermitian when R is anti-Hermitian, which
-weyl_is_antihermitian reads off the coefficients.
+weyl_is_antihermitian reads off the coefficients; weyl_is_hermitian
+reads Hermiticity the same way, with the other part required to vanish.
+
+Weighted sums.  expr_lincomb forms sum w t over a list of (w, t) pairs
+with rational weights (a column sum of the nested-commutator table) in
+one pass: every term is brought over one denominator, the lcm of the
+products of each weight's and each expr's denominator, the terms
+accumulate as integer numerators, and each output coefficient is
+reduced once, as in the kernels.
 
 Inside one expr_mul or expr_commutator call, every exponent vector gets
 a small-int id: the left operands of all pairs share one id space, the
@@ -205,6 +213,34 @@ def expr_scale(t, u):
     if u[0] == 0 and u[1] == 0:
         return {}
     return {k: poly_scale(p, u) for k, p in t.items()}
+
+
+def expr_lincomb(terms):
+    """sum of w t over the (w, t) pairs, each weight w a rational (an int
+    or a Fraction): every term is brought over one denominator, the lcm
+    of the products of each weight's denominator and its expr's, the
+    terms accumulate as integer numerators, and each output coefficient
+    is reduced once; zero sums are dropped."""
+    terms = [(w.numerator, w.denominator, t, _common_den(t.values()))
+             for w, t in terms if w and t]
+    den = lcm(*(wd * d for _, wd, _, d in terms))
+    acc = {}
+    for wn, wd, t, d in terms:
+        wn *= den // (wd * d)  # the weight's numerator over den // d
+        for key, p in t.items():
+            slot = acc.get(key)
+            if slot is None:
+                slot = acc[key] = {}
+            get = slot.get
+            for ev, (re, im, cd) in p.items():
+                f = d // cd * wn
+                old = get(ev, _INT_ZERO)
+                slot[ev] = (old[0] + re * f, old[1] + im * f)
+    out = {}
+    for key, slot in acc.items():
+        if poly := _reduce(slot, den):
+            out[key] = poly
+    return out
 
 
 def _common_den(polys):
@@ -512,16 +548,29 @@ def to_normal(t):
     return _reorder(t, False)
 
 
-def weyl_is_antihermitian(t):
-    """Whether the operator of Weyl symbol t is anti-Hermitian: W(f)+ =
-    W(conj f) and (W(f) P)+ = W(conj f(-x, -p)) P, so every coefficient
-    is imaginary, or real where e = 1 and a + b is odd."""
+def _weyl_part_vanishes(t, part):
+    """Whether part `part` (0 real, 1 imaginary) of every coefficient of
+    Weyl symbol t is zero, the other part where e = 1 and a + b is odd."""
     for (a, b, e), p in t.items():
-        part = 1 if e and ((a + b) & 1) else 0
+        i = part ^ 1 if e and ((a + b) & 1) else part
         for c in p.values():
-            if c[part]:
+            if c[i]:
                 return False
     return True
+
+
+def weyl_is_hermitian(t):
+    """Whether the operator of Weyl symbol t is Hermitian: W(f)+ =
+    W(conj f) and (W(f) P)+ = W(conj f(-x, -p)) P, so every coefficient
+    is real, or imaginary where e = 1 and a + b is odd."""
+    return _weyl_part_vanishes(t, 1)
+
+
+def weyl_is_antihermitian(t):
+    """Whether the operator of Weyl symbol t is anti-Hermitian: every
+    coefficient is imaginary, or real where e = 1 and a + b is odd (see
+    weyl_is_hermitian)."""
+    return _weyl_part_vanishes(t, 0)
 
 
 def weyl_solve_h0(t):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import backend as _b
 from .algebra import OperatorExpr, h0, require_int, symmetric_form
 from .errors import EngineError
 from .perturbation import QSeries, _extension, _source_weight
@@ -83,15 +84,20 @@ def equivalent_hermitian(qs: QSeries) -> SeriesExpr:
     That needs [H0, Q_m] = R_m, which a hand-built series is checked
     for.  Q_{N+1} is solved with zero free parameters, which checks that
     R_{N+1} has a solution; h must vanish at first order and be
-    Hermitian throughout.
+    Hermitian throughout.  The table hands out h_1..h_{N+1} as Weyl
+    symbols, and x-free h_0 = p^2/2 is its own symbol, so every order's
+    Hermiticity reads off the coefficients
+    (``_core_py.weyl_is_hermitian``); h is normal-ordered only after
+    these checks.
     """
-    h = SeriesExpr(qs.order + 1, {0: h0(), **_extension(qs, _hermitian_weight)[1]})
-    if not h.coeff(1).is_zero():
+    hw = {0: h0().raw, **_extension(qs, _hermitian_weight)[1]}
+    if hw[1]:
         raise EngineError("first-order term of the dressed Hamiltonian must vanish")
-    for j in range(h.order + 1):
-        if not h.coeff(j).is_hermitian():
+    for j, w in hw.items():
+        if not _b.weyl_is_hermitian(w):
             raise EngineError(f"dressed Hamiltonian not Hermitian at order {j}")
-    return h
+    return SeriesExpr(qs.order + 1,
+                      {j: OperatorExpr.from_raw(_b.to_normal(w)) for j, w in hw.items()})
 
 
 @dataclass(frozen=True)

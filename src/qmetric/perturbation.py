@@ -351,9 +351,10 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
 
 
 def _extension(qs, weight=None):
-    """(canonical particular Q_{N+1}, {m: sum_k weight(k) E[k][m] for m = 1..N+1}
-    or {} without `weight`), from the series' table, or from a fresh one checked
-    against [H0, Q_m] = R_m for a series built by hand; column N+1 is streamed."""
+    """(canonical particular Q_{N+1}, {m: the Weyl symbol of sum_k weight(k)
+    E[k][m] for m = 1..N+1} or {} without `weight`), from the series' table,
+    or from a fresh one checked against [H0, Q_m] = R_m for a series built
+    by hand; column N+1 is streamed."""
     j = qs.order + 1
     table = qs._table if qs._table is not None else NestedCommutators({1: qs.h1_op}, qs.q_list())
     stripped = strip_x_free(_solve(*_source(j, table, qs.weight, streamed=True))[0], j, qs.weight)[0]
@@ -363,7 +364,7 @@ def _extension(qs, weight=None):
         for m, q in enumerate(table.q, start=1):
             if commutator(h0(), q) != table.total(m, _source_weight):
                 raise EngineError(f"order {m}: [H0, Q_m] differs from R_m")
-    return stripped, {m: table.total(m, weight, streamed=m == j) for m in range(1, j + 1)}
+    return stripped, {m: table.symbol(m, weight, streamed=m == j) for m in range(1, j + 1)}
 
 
 def extend_one_order(qs: QSeries) -> OperatorExpr:

@@ -127,7 +127,8 @@ class NestedCommutators:
     and h), 0 for a bare operator (X and P).  E[0][m] = A_m and E[k][m] =
     sum_{s=1..m-k-lo+1} [E[k-1][m-s], Q_s], zero unless m >= k + lo.  An
     entry is kept in `memo` and a weighted column sum (weight: k -> weight
-    of E[k]) in `sums`, each formed when first read; the Q_s only grow at
+    of E[k], a Fraction) in `sums`, each formed when first read, the sum
+    in one integer pass (``_core_py.expr_lincomb``); the Q_s only grow at
     the end of `q`, so both stay valid as the table grows.
 
     The entries and sums are kept as raw Weyl symbols, whose commutators
@@ -136,8 +137,9 @@ class NestedCommutators:
     table (``add``) with its symbol: the derivation has it from the
     solver, and the tables of X and P share the derivation's symbols
     (``qw``); given only the Q_s, the constructor converts them.
-    ``symbol`` hands out a column sum as it is kept, and ``total``
-    normal-orders it.
+    ``symbol`` hands out a column sum as it is kept (the equivalent
+    Hermitian Hamiltonian checks these symbols before normal-ordering
+    them), and ``total`` normal-orders it.
     """
 
     __slots__ = ("seed", "lo", "q", "qw", "memo", "sums")
@@ -171,28 +173,24 @@ class NestedCommutators:
         key = (m, weight, shift)
         f = self.sums.get(key)
         if f is None:
-            f = {}
-            for k in range(m - self.lo + 1):
-                if w := weight(k + shift):
-                    f = _b.expr_add(f, _b.expr_scale(self.entry(k, m), _scalar(w)))
-            self.sums[key] = f
+            f = self.sums[key] = _b.expr_lincomb(
+                [(w, self.entry(k, m)) for k in range(m - self.lo + 1) if (w := weight(k + shift))])
         return f
 
     def symbol(self, m, weight, streamed=False):
         """The Weyl symbol of sum_k weight(k) E[k][m].  Streamed, for a
         column no later order reads, it is weight(0) A_m + sum_{s=1..m-lo}
         [F_s, Q_s] with F_s = sum_k weight(k + 1) E[k][m-s], one kernel call
-        that forms no E[k][m]."""
+        that forms no E[k][m]; the seed term is added only where the seed
+        has that order."""
         if not streamed:
             return self._formed(m, weight)
-        return _b.expr_add(_b.expr_scale(self.entry(0, m), _scalar(weight(0))), _b.weyl_commutator(
-            [(self._formed(m - s, weight, 1), self.qw[s - 1]) for s in range(1, m - self.lo + 1)]))
+        out = _b.weyl_commutator(
+            [(self._formed(m - s, weight, 1), self.qw[s - 1]) for s in range(1, m - self.lo + 1)])
+        if seed := self.entry(0, m):
+            out = _b.expr_lincomb([(weight(0), seed), (1, out)])
+        return out
 
     def total(self, m, weight, streamed=False):
         """sum_k weight(k) E[k][m], normal-ordered."""
         return OperatorExpr.from_raw(_b.to_normal(self.symbol(m, weight, streamed)))
-
-
-def _scalar(w):
-    """A Fraction weight as a core scalar."""
-    return (w.numerator, 0, w.denominator)

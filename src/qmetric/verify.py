@@ -216,14 +216,17 @@ def _tabulated(key: str, got, printed, recomputed, message: str) -> CheckResult:
 def _check_sectors(qs) -> list[CheckResult]:
     source = qs.record(3).r.param_split(("l1", "k1"))
     target = qs.record(3).particular.param_split(("l1", "k1"))
-    out = [_tabulated(f"kernel.s.{mu}{nu}", to_kernel(source[(mu, nu)]),
+    # Each sector's kernels are read by several checks; form them once.
+    source_k = {s: to_kernel(source[s]) for s in ref.SECTORS}
+    target_k = {s: to_kernel(target[s]) for s in ref.SECTORS}
+    out = [_tabulated(f"kernel.s.{mu}{nu}", source_k[(mu, nu)],
                       ref.s_kernel(mu, nu), lambda: ref.true_s_kernel(mu, nu),
                       "matches the tabulated closed form") for mu, nu in ref.SECTORS]
     out += [_tabulated(f"table.a.{mu}{nu}", target[(mu, nu)], ref.t_normal(mu, nu),
                        lambda: ref.t_normal(mu, nu, ref.TRUE_A),
                        f"all {len(ref.TABLE_A[(mu, nu)])} amplitudes match")
             for mu, nu in ref.SECTORS]
-    out += [_tabulated(f"kernel.t.{mu}{nu}", to_kernel(target[(mu, nu)]),
+    out += [_tabulated(f"kernel.t.{mu}{nu}", target_k[(mu, nu)],
                        ref.t_kernel(mu, nu), lambda: ref.true_t_kernel(mu, nu),
                        "matches the tabulated closed form") for mu, nu in ref.SECTORS]
     out += [_tabulated(f"table.c.{mu}{nu}", target[(mu, nu)], ref.t_symmetric(mu, nu),
@@ -232,11 +235,9 @@ def _check_sectors(qs) -> list[CheckResult]:
                        " combination cells match")
             for mu, nu in ref.SECTORS]
 
-    wave_ok = all(
-        apply_wave_operator(to_kernel(target[s]))
-        == to_kernel(source[s]).scale(GaussianRational(2))
-        for s in ref.SECTORS)
-    herm_ok = all(is_hermitian_kernel(to_kernel(target[s])) for s in ref.SECTORS)
+    wave_ok = all(apply_wave_operator(target_k[s]) == source_k[s].scale(GaussianRational(2))
+                  for s in ref.SECTORS)
+    herm_ok = all(is_hermitian_kernel(target_k[s]) for s in ref.SECTORS)
     out.append(_cond("q3.t.wave", wave_ok,
                      "wave operator returns twice the source kernel in"
                      " every sector",

@@ -1,7 +1,7 @@
 """The product and commutator kernels against a reference product on
 Fraction pairs, plus the kernel identities, the sums over pair lists,
-the grouped adjoint, and the Weyl-symbol layer: the conversions, the
-Moyal commutator, the anti-Hermiticity test and the solver."""
+the grouped adjoint, the weighted sums, and the Weyl-symbol layer: the
+conversions, the Moyal commutator, the Hermiticity tests and the solver."""
 
 import math
 from fractions import Fraction
@@ -430,6 +430,51 @@ def test_weyl_antihermiticity_matches_adjoint(a):
     expr = OperatorExpr.from_raw(a)
     for t in (expr, expr - expr.adjoint(), expr + expr.adjoint()):
         assert core.weyl_is_antihermitian(core.to_weyl(t.raw)) == t.is_antihermitian()
+
+
+@settings(deadline=None)
+@given(op_tables() | wide_pairs().map(lambda pair: pair[0]))
+def test_weyl_hermiticity_matches_adjoint(a):
+    expr = OperatorExpr.from_raw(a)
+    for t in (expr, expr + expr.adjoint(), expr - expr.adjoint()):
+        assert core.weyl_is_hermitian(core.to_weyl(t.raw)) == t.is_hermitian()
+
+
+lincomb_weights = st.sampled_from([0, 1, -1]) | st.builds(Fraction, ints, dens)
+
+
+def _chain(terms):
+    """sum of w t as a chain of expr_scale and expr_add calls."""
+    out = {}
+    for w, t in terms:
+        out = core.expr_add(out, core.expr_scale(t, (w.numerator, 0, w.denominator)))
+    return out
+
+
+@given(st.lists(st.tuples(lincomb_weights, op_tables() | wide_pairs().map(lambda pair: pair[0])),
+                max_size=5))
+def test_lincomb_matches_scale_add_chain(terms):
+    before = [(w, _snapshot(t)) for w, t in terms]
+    got = core.expr_lincomb(terms)
+    assert got == _chain(terms)
+    assert_canonical(got)
+    assert [(w, t) for w, t in terms] == before
+
+
+@given(op_tables(), lincomb_weights, fracs)
+def test_lincomb_cancels_keys(a, w, s):
+    # w a + s a - (w + s) a is zero, and a key that cancels is dropped
+    # also when other terms stay.
+    b = {(5, 5, 0): {(): (1, 0, 1)}}
+    terms = [(w, a), (s, a), (-(w + s), a), (Fraction(1, 3), b)]
+    assert core.expr_lincomb(terms[:3]) == _chain(terms[:3]) == {}
+    assert core.expr_lincomb(terms) == _chain(terms) == {(5, 5, 0): {(): (1, 0, 3)}}
+
+
+def test_lincomb_of_nothing_is_zero():
+    a = {(1, 0, 0): {(): core.Q_ONE}}
+    assert core.expr_lincomb([]) == {}
+    assert core.expr_lincomb([(Fraction(2, 3), {}), (0, a)]) == {}
 
 
 def test_scalar_helpers_are_called_through_module_globals(monkeypatch, formal3):

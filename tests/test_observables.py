@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qmetric import observables
 from qmetric import reference as ref
 from qmetric.algebra import (OperatorExpr, commutator, from_symmetric_form,
                              h0, h1)
@@ -127,6 +128,20 @@ def test_hermitian_hamiltonian(formal3):
     assert h.coeff(3) == from_symmetric_form(ref.h_order3_items(L2, K2))
     for j in range(5):
         assert h.coeff(j).is_hermitian()
+
+
+@pytest.mark.parametrize("j", [2, 4])
+def test_hermiticity_guard_reads_each_symbol(formal3, monkeypatch, j):
+    # h_j's symbol turned by i: every coefficient gets the wrong reality.
+    def turned(qs, weight=None):
+        stripped, hw = extension(qs, weight)
+        hw[j] = {k: {ev: (-c[1], c[0], c[2]) for ev, c in p.items()} for k, p in hw[j].items()}
+        return stripped, hw
+
+    extension = observables._extension
+    monkeypatch.setattr(observables, "_extension", turned)
+    with pytest.raises(EngineError, match=f"dressed Hamiltonian not Hermitian at order {j}"):
+        equivalent_hermitian(formal3)
 
 
 DEGREE = 12
