@@ -458,7 +458,7 @@ def test_lincomb_matches_scale_add_chain(terms):
     got = core.expr_lincomb(terms)
     assert got == _chain(terms)
     assert_canonical(got)
-    assert [(w, t) for w, t in terms] == before
+    assert terms == before
 
 
 @given(op_tables(), lincomb_weights, fracs)
@@ -469,12 +469,6 @@ def test_lincomb_cancels_keys(a, w, s):
     terms = [(w, a), (s, a), (-(w + s), a), (Fraction(1, 3), b)]
     assert core.expr_lincomb(terms[:3]) == _chain(terms[:3]) == {}
     assert core.expr_lincomb(terms) == _chain(terms) == {(5, 5, 0): {(): (1, 0, 3)}}
-
-
-def test_lincomb_of_nothing_is_zero():
-    a = {(1, 0, 0): {(): core.Q_ONE}}
-    assert core.expr_lincomb([]) == {}
-    assert core.expr_lincomb([(Fraction(2, 3), {}), (0, a)]) == {}
 
 
 def test_scalar_helpers_are_called_through_module_globals(monkeypatch, formal3):
