@@ -532,8 +532,7 @@ def _reorder(t, weyl):
     den <<= top
     out = {}
     for key, slot in acc.items():
-        poly = {ev: q_make(re, im, den) for ev, (re, im) in slot.items() if re or im}
-        if poly:
+        if poly := _reduce(slot, den):
             out[key] = poly
     return out
 

@@ -4,11 +4,14 @@ A kernel is a finite sum of items
 
     f(x,y) * sign(x - s*y)      and      g(x) * delta^(k)(x - s*y)
 
-with s = +1 or -1 and exact Gaussian-rational coefficients, stored as
-the core's scalar tuples and combined with its scalar ops.  Negative
-momentum powers produce the sign items, non-negative powers the delta
-items.  Delta items are kept canonical: the accompanying polynomial is
-reduced onto the support (a polynomial in x alone) using
+with s = +1 or -1 and exact Gaussian-rational coefficients.  An XYPoly
+is a core poly over two symbols, x symbol 0 and y symbol 1 of the
+core's exponent vectors, so its sums and products are the core's
+poly_add and poly_mul; its public view keys each term by (i, j).
+Negative momentum powers produce the sign items, non-negative powers
+the delta items.  Delta items are kept canonical: the accompanying
+polynomial is reduced onto the support (a polynomial in x alone) in
+closed form, from y = s*(x - u) with u = x - s*y and
 u^m delta^(k)(u) = (-1)^m k!/(k-m)! delta^(k-m)(u).
 """
 
@@ -24,19 +27,24 @@ from .errors import EngineError
 from .rational import I_POWERS, GaussianRational, _format_scalar
 
 
+def _ev(i: int, j: int) -> tuple:
+    """The core exponent vector of x^i y^j."""
+    return tuple((sym, n) for sym, n in ((0, i), (1, j)) if n)
+
+
 class XYPoly:
-    """Exact bivariate polynomial in x and y: {(i, j): core scalar}."""
+    """Exact bivariate polynomial in x and y, a core poly {ev: core scalar}."""
 
     __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        t: dict[tuple[int, int], tuple] = {}
+        t: dict[tuple, tuple] = {}
         for (i, j), c in (terms or {}).items():
             if require_int("x exponent", i) < 0 or require_int("y exponent", j) < 0:
                 raise ValueError("negative exponents")
             c = GaussianRational(c).tuple
             if not _b.q_is_zero(c):
-                t[(i, j)] = c
+                t[_ev(i, j)] = c
         self._t = t
 
     @classmethod
@@ -63,13 +71,18 @@ class XYPoly:
 
     @property
     def terms(self) -> dict:
-        return self._t
+        """{(i, j): core scalar}, the coefficient of x^i y^j."""
+        out = {}
+        for ev, c in self._t.items():
+            d = dict(ev)
+            out[d.get(0, 0), d.get(1, 0)] = c
+        return out
 
     def is_zero(self) -> bool:
         return not self._t
 
     def coeff(self, i: int, j: int) -> GaussianRational:
-        return GaussianRational.from_tuple(self._t.get((i, j), _b.Q_ZERO))
+        return GaussianRational.from_tuple(self._t.get(_ev(i, j), _b.Q_ZERO))
 
     def __eq__(self, other):
         return isinstance(other, XYPoly) and self._t == other._t
@@ -87,14 +100,7 @@ class XYPoly:
         return self + (-other)
 
     def __mul__(self, other: "XYPoly") -> "XYPoly":
-        out: dict[tuple[int, int], tuple] = {}
-        for (i1, j1), c1 in self._t.items():
-            for (i2, j2), c2 in other._t.items():
-                k = (i1 + i2, j1 + j2)
-                c = _b.q_mul(c1, c2)
-                old = out.get(k)
-                out[k] = c if old is None else _b.q_add(old, c)
-        return XYPoly.from_terms(out)
+        return XYPoly.from_terms(_b.poly_mul(self._t, other._t))
 
     def scale(self, c) -> "XYPoly":
         return XYPoly.from_terms(_b.poly_scale(self._t, GaussianRational(c).tuple))
@@ -104,25 +110,15 @@ class XYPoly:
 
     def swap(self) -> "XYPoly":
         """x <-> y."""
-        return XYPoly.from_terms({(j, i): c for (i, j), c in self._t.items()})
+        return XYPoly.from_terms({_ev(j, i): c for (i, j), c in self.terms.items()})
 
     def deriv_x(self) -> "XYPoly":
-        return XYPoly.from_terms({(i - 1, j): _b.q_mul(c, GaussianRational(i).tuple)
-                                  for (i, j), c in self._t.items() if i > 0})
+        return XYPoly.from_terms({_ev(i - 1, j): _b.q_mul(c, GaussianRational(i).tuple)
+                                  for (i, j), c in self.terms.items() if i > 0})
 
     def deriv_y(self) -> "XYPoly":
-        return XYPoly.from_terms({(i, j - 1): _b.q_mul(c, GaussianRational(j).tuple)
-                                  for (i, j), c in self._t.items() if j > 0})
-
-    def substitute_y(self, a: "XYPoly") -> "XYPoly":
-        """y -> a(x,y)."""
-        out = XYPoly.zero()
-        for (i, j), c in self._t.items():
-            term = XYPoly.from_terms({(i, 0): c})
-            for _ in range(j):
-                term = term * a
-            out = out + term
-        return out
+        return XYPoly.from_terms({_ev(i, j - 1): _b.q_mul(c, GaussianRational(j).tuple)
+                                  for (i, j), c in self.terms.items() if j > 0})
 
     def __str__(self):
         if not self._t:
@@ -131,7 +127,7 @@ class XYPoly:
             (i, j), _ = item
             return (-(i + j), -i)
         parts = []
-        for (i, j), c in sorted(self._t.items(), key=key):
+        for (i, j), c in sorted(self.terms.items(), key=key):
             cs = _format_scalar(c)
             mono = "*".join(s for s in (f"x^{i}" if i else "", f"y^{j}" if j else "") if s)
             if not mono:
@@ -152,21 +148,20 @@ BaseKey = tuple[str, int, int]
 def _delta_reduce(kind_k: int, s: int, poly: XYPoly) -> dict[BaseKey, XYPoly]:
     """Reduce poly(x,y) * delta^(k)(x - s*y) onto the support.
 
-    Substitutes y = s*(x - u), expands in u, and lowers the delta order
-    term by term; the result carries polynomials in x only.
+    With u = x - s*y, y^j = s^j (x - u)^j, and the (-1)^m of its u^m
+    term cancels the one of u^m delta^(k)(u), so in closed form
+    c x^i y^j delta^(k) = sum_{m <= min(j,k)} s^j C(j,m) k!/(k-m)!
+    c x^(i+j-m) delta^(k-m); the result carries polynomials in x only.
     """
-    # y = s*x - s*u  (u = x - s*y)
-    sub = XYPoly({(1, 0): s, (0, 1): -s})  # s*x - s*u, u in y-slot
-    expanded = poly.substitute_y(sub)  # now (x, u)-polynomial
     out: dict[BaseKey, XYPoly] = {}
-    for (i, m), c in expanded.terms.items():
-        if m > kind_k:
-            continue  # u^m delta^(k)(u) = 0 for m > k
-        knew = kind_k - m
-        factor = (-1) ** m * math.factorial(kind_k) // math.factorial(knew)
-        key = ("delta", knew, s)
-        add = XYPoly.from_terms({(i, 0): _b.q_mul(c, GaussianRational(factor).tuple)})
-        out[key] = out.get(key, XYPoly.zero()) + add
+    for (i, j), c in poly.terms.items():
+        n = -1 if s < 0 and j & 1 else 1  # s^j C(j,m) k!/(k-m)! at m = 0
+        for m in range(min(j, kind_k) + 1):
+            if m:
+                n = n * (j - m + 1) * (kind_k - m + 1) // m
+            key = ("delta", kind_k - m, s)
+            add = XYPoly.from_terms({_ev(i + j - m, 0): _b.q_mul(c, (n, 0, 1))})
+            out[key] = out.get(key, XYPoly.zero()) + add
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 

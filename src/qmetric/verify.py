@@ -31,7 +31,7 @@ from .kernels import apply_wave_operator, is_hermitian_kernel, to_kernel
 from .observables import (classical_limit, equivalent_hermitian,
                           observable_p, observable_x)
 from .params import ParamPoly
-from .perturbation import (MetricParams, bbj_compare, build_r,
+from .perturbation import (MetricParams, _source, bbj_compare,
                            derive_metric_series, q_coefficient)
 from .rational import GaussianRational
 from .series import SeriesExpr, series_commutator
@@ -131,7 +131,8 @@ def _check_series_sources() -> list[CheckResult]:
     qs = derive_metric_series(MetricParams.formal(4))
     q1, q2, q3 = qs.q(1), qs.q(2), qs.q(3)
     r3, r4 = qs.record(3).r, qs.record(4).r
-    r5 = build_r(5, qs.q_list())
+    # R_5 is the series' own table's next column, streamed as in the extension.
+    r5 = _source(5, qs._table, qs.weight, streamed=True)[0]
 
     e3 = (r3 == _scale(commutator(h0(), q1, 3), Fraction(1, 12))
           and r3 == _scale(commutator(h1(), q1, 2), Fraction(-1, 6)))

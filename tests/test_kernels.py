@@ -4,18 +4,23 @@ The oracle for the wave operator is the operator algebra itself:
 <x|[p^2, A]|y> must equal (-d_x^2 + d_y^2)<x|A|y>, so mapping a
 commutator computed in normal order has to agree with differentiating
 the mapped kernel.  Delta reduction is pinned by textbook identities
-like (x-y) d'(x-y) = -d(x-y).
+like (x-y) d'(x-y) = -d(x-y), and by property tests against the
+repeated-product substitution the closed form replaced; the core-backed
+XYPoly product is checked against a term-by-term product.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmetric import backend as _b
 from qmetric.algebra import OperatorExpr, commutator
 from qmetric.errors import EngineError
-from qmetric.kernels import (Kernel, XYPoly, apply_wave_operator,
-                             delta_kernel, is_hermitian_kernel, sign_kernel,
-                             to_kernel)
+from qmetric.kernels import (Kernel, XYPoly, _delta_reduce,
+                             apply_wave_operator, delta_kernel,
+                             is_hermitian_kernel, sign_kernel, to_kernel)
 from qmetric.params import ParamPoly
 from qmetric.rational import GaussianRational
 
@@ -140,4 +145,55 @@ def test_xypoly_calculus():
     assert f.deriv_x() == X * Y.scale(2)
     assert f.deriv_y() == X * X
     assert f.swap() == Y * Y * X
-    assert f.substitute_y(X) == X * X * X
+
+
+# -- core-backed product and closed-form delta reduction against the old loops --
+
+def _termwise_product(a, b):
+    """The product as a term-by-term loop over the (i, j) view."""
+    out = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            k = (i1 + i2, j1 + j2)
+            c = _b.q_mul(c1, c2)
+            out[k] = c if k not in out else _b.q_add(out[k], c)
+    return XYPoly({k: GaussianRational.from_tuple(c) for k, c in out.items()})
+
+
+def _substitution_reduce(k, s, poly):
+    """poly * delta^(k)(x - s*y) reduced by substituting y = s*x - s*u,
+    expanding in u by repeated products, and lowering the delta order by
+    u^m delta^(k)(u) = (-1)^m k!/(k-m)! delta^(k-m)(u) term by term."""
+    sub = XYPoly({(1, 0): s, (0, 1): -s})
+    expanded = XYPoly.zero()
+    for (i, j), c in poly.terms.items():
+        term = XYPoly({(i, 0): GaussianRational.from_tuple(c)})
+        for _ in range(j):
+            term = _termwise_product(term, sub)
+        expanded = expanded + term
+    out = {}
+    for (i, m), c in expanded.terms.items():
+        if m <= k:
+            factor = (-1) ** m * math.factorial(k) // math.factorial(k - m)
+            key = ("delta", k - m, s)
+            add = XYPoly.monomial(GaussianRational.from_tuple(c) * factor, i)
+            out[key] = out.get(key, XYPoly.zero()) + add
+    return {key: p for key, p in out.items() if not p.is_zero()}
+
+
+_parts = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+xypolys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          st.builds(GaussianRational, _parts, _parts),
+                          max_size=4).map(XYPoly)
+
+
+@settings(deadline=None)
+@given(xypolys, xypolys)
+def test_product_equals_termwise_product(a, b):
+    assert a * b == _termwise_product(a, b)
+
+
+@settings(deadline=None)
+@given(xypolys, st.integers(0, 4), st.sampled_from((1, -1)))
+def test_delta_reduce_equals_substitution(poly, k, s):
+    assert _delta_reduce(k, s, poly) == _substitution_reduce(k, s, poly)
