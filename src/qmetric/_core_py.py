@@ -71,6 +71,11 @@ solution is Hermitian when R is anti-Hermitian, which
 weyl_is_antihermitian reads off the coefficients; weyl_is_hermitian
 reads Hermiticity the same way, with the other part required to vanish.
 
+The solver's output.  h0_commutator_equals checks [p^2/2, S] = R in
+normal order on the closed form of each monomial's commutator, sharing
+nothing with to_weyl, to_normal or the kernel it checks; poly_real_split
+reads off the real amplitudes that strip_x_free takes from a solution.
+
 Weighted sums.  expr_lincomb forms sum w t over a list of (w, t) pairs
 with rational weights (a column sum of the nested-commutator table) in
 one pass: every term is brought over one denominator, the lcm of the
@@ -583,3 +588,44 @@ def weyl_solve_h0(t):
     return {(a + 1, b - 1, e): {ev: q_make(-c[1], c[0], 2 * (a + 1) * c[2])
                                 for ev, c in p.items()}
             for (a, b, e), p in t.items()}
+
+
+def h0_commutator_equals(s, r):
+    """Whether [p^2/2, s] = r for normal-ordered exprs s and r, from
+    [p^2/2, x^a p^b P^e] = -i a x^(a-1) p^(b+1) P^e - a(a-1)/2 x^(a-2) p^b P^e:
+    the terms accumulate as integers over 2 den, den the lcm of s's
+    denominators, and each sum is compared with r unreduced, by
+    cross-multiplying."""
+    den = _common_den(s.values())
+    acc = {}
+    for (a, b, e), p in s.items():
+        # The two weights over 2 den, as (real, imaginary) parts.
+        for key, wr, wi in (((a - 1, b + 1, e), 0, -2 * a), ((a - 2, b, e), a - a * a, 0)):
+            if not (wr or wi):
+                continue
+            slot = acc.setdefault(key, {})
+            for ev, c in p.items():
+                re, im = c[0] * (f := den // c[2]), c[1] * f
+                old = slot.get(ev, _INT_ZERO)
+                slot[ev] = (old[0] + re * wr - im * wi, old[1] + re * wi + im * wr)
+    den *= 2
+    for key, slot in acc.items():
+        rp = r.get(key, {})
+        for ev, (re, im) in slot.items():
+            c = rp.get(ev, Q_ZERO)
+            if re * c[2] != c[0] * den or im * c[2] != c[1] * den:
+                return False
+    return all(p.keys() <= acc.get(key, {}).keys() for key, p in r.items())
+
+
+def poly_real_split(p, t):
+    """(Re(p i^-t), i Im(p i^-t) i^t): p is the first times i^t plus the
+    second; each nonzero part of a term reads off with one q_make."""
+    real, rest = {}, {}
+    for ev, c in p.items():
+        re, im = _turn(c[0], c[1], -t & 3)
+        if re:
+            real[ev] = q_make(re, 0, c[2])
+        if im:
+            rest[ev] = q_make(*_turn(0, im, t & 3), c[2])
+    return real, rest

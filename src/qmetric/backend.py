@@ -5,8 +5,9 @@ what the algebra code uses from it.
 """
 
 from ._core_py import (Q_ONE, Q_ZERO, ev_mul, expr_add, expr_commutator,
-                       expr_lincomb, expr_mul, expr_scale, poly_add, poly_conj,
-                       poly_mul, poly_neg, poly_scale, q_add, q_conj, q_is_zero,
+                       expr_lincomb, expr_mul, expr_scale, h0_commutator_equals,
+                       poly_add, poly_conj, poly_mul, poly_neg,
+                       poly_real_split, poly_scale, q_add, q_conj, q_is_zero,
                        q_make, q_mul, q_neg, to_normal, to_weyl,
                        weyl_commutator, weyl_is_antihermitian,
                        weyl_is_hermitian, weyl_solve_h0)

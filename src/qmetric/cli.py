@@ -73,6 +73,8 @@ _PARAM_FLAGS = ("l1", "l2", "l3", "k1", "k2", "k3")
 
 def _rational(text: str, flag: str) -> Fraction:
     try:
+        if "_" in text:  # Fraction reads '1_0' as 10 only from Python 3.11 on
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{flag}: {text!r} is not a rational number") from exc

@@ -16,9 +16,10 @@ Q_j Hermitian.  Order j is obtained in three steps:
 2. ``solve_commutator_equation``: on Weyl symbols [H0, .] is -i p d/dx,
    so one particular solution is read off R_j's symbol term by term; it
    is Hermitian because R_j is anti-Hermitian, and its normal-ordered
-   form is checked by the round trip [H0, S] = R_j in normal order.
-3. ``strip_x_free`` and ``homogeneous_q``: move every x-free piece of the
-   particular solution into the free parameters and attach the
+   form is checked by the round trip [H0, S] = R_j in normal order, on
+   the closed form of [p^2/2, .], apart from the Weyl conversions.
+3. ``strip_x_free`` and ``homogeneous_q``: move the real x-free parts of
+   the particular solution into the free parameters and attach the
    homogeneous terms lambda_j p^(-5j) + i^j kappa_j p^(-5j) P; the sum
    Q_j is checked Hermitian and joins the table with its Weyl symbol:
    the solver's symbol, corrected by the x-free terms in which Q_j
@@ -40,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import backend as _b
-from .algebra import OperatorExpr, commutator, h0, h1, require_int, scaling_degree
+from .algebra import OperatorExpr, h1, require_int, scaling_degree
 from .errors import EngineError
 from .params import ParamPoly
 from .rational import I_POWERS
@@ -194,10 +195,11 @@ def solve_commutator_equation(r: OperatorExpr) -> OperatorExpr:
 def _solve(r: OperatorExpr, rw: dict) -> tuple[OperatorExpr, dict]:
     """The solver's body, for an R already checked to be anti-Hermitian
     and its Weyl symbol rw: (the solution normal-ordered, its symbol).
-    The round trip runs in normal order."""
+    The round trip runs in normal order, on the closed form of [p^2/2, .]
+    (``_core_py.h0_commutator_equals``)."""
     sw = _b.weyl_solve_h0(rw)
     sol = OperatorExpr.from_raw(_b.to_normal(sw))
-    if commutator(h0(), sol) != r:
+    if not _b.h0_commutator_equals(sol.raw, r.raw):
         raise EngineError("commutator equation round trip failed")
     return sol, sw
 
@@ -209,37 +211,31 @@ def strip_x_free(particular: OperatorExpr, j: int, weight: int = DEFAULT_WEIGHT
     Returns (stripped, plain, parity) where the removed piece is
     plain * p^(-weight j) + parity * i^j p^(-weight j) P with both
     amplitudes real, i.e. exactly the two Hermitian directions a free
-    parameter can shift.  An x-free normal-ordered remainder with the
-    complementary reality (it appears from order 4 on) is kept: the
-    adjoint of x-carrying terms reorders into x-free ones, so that
-    remainder is part of a Hermitian whole, not a free parameter.  Any
-    x-free term commutes with H0, so either way the result solves the
-    same equation.
+    parameter can shift: plain is the real part of the x-free coefficient
+    of p^(-weight j), parity that of the x-free parity coefficient turned
+    by i^(-j).  The rest, of the complementary reality (it appears from
+    order 4 on), is kept: the adjoint of x-carrying terms reorders into
+    x-free ones, so it is part of a Hermitian whole, not a free
+    parameter.  Any x-free term commutes with H0, so either way the
+    result solves the same equation.
     """
     b_expected = -weight * j
     stripped = {}
-    raw_plain = raw_parity = ParamPoly(0)
+    free = {}
     for (a, b, e), p in particular.raw.items():
         if a:
             stripped[a, b, e] = p
         elif b != b_expected:
             raise EngineError(f"order {j}: x-free term carries p^{b}, expected p^{b_expected}")
-        elif e:
-            raw_parity = ParamPoly.from_terms(p)
         else:
-            raw_plain = ParamPoly.from_terms(p)
-    half = ParamPoly(Fraction(1, 2))
-    i_pow = I_POWERS[j % 4]
-    plain = (raw_plain + raw_plain.conjugate()) * half
-    rotated = raw_parity * ParamPoly(I_POWERS[-j % 4])
-    parity = (rotated + rotated.conjugate()) * half
-    left_plain = raw_plain + plain * ParamPoly(-1)
-    left_parity = raw_parity + parity * ParamPoly(-i_pow)
-    if not left_plain.is_zero():
-        stripped[0, b_expected, 0] = left_plain.terms
-    if not left_parity.is_zero():
-        stripped[0, b_expected, 1] = left_parity.terms
-    return OperatorExpr.from_raw(stripped), plain, parity
+            free[e] = p
+    amplitudes = []
+    for e in (0, 1):
+        amplitude, left = _b.poly_real_split(free.get(e, {}), j * e)
+        if left:
+            stripped[0, b_expected, e] = left
+        amplitudes.append(ParamPoly.from_terms(amplitude))
+    return OperatorExpr.from_raw(stripped), *amplitudes
 
 
 def homogeneous_q(j: int, lam: ParamPoly, kap: ParamPoly, weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
@@ -362,7 +358,7 @@ def _extension(qs, weight=None):
         return stripped, {}
     if qs._table is None:
         for m, q in enumerate(table.q, start=1):
-            if commutator(h0(), q) != table.total(m, _source_weight):
+            if not _b.h0_commutator_equals(q.raw, table.total(m, _source_weight).raw):
                 raise EngineError(f"order {m}: [H0, Q_m] differs from R_m")
     return stripped, {m: table.symbol(m, weight, streamed=m == j) for m in range(1, j + 1)}
 

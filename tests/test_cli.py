@@ -86,6 +86,21 @@ def test_bad_rational_flag():
     assert "not a rational" in out.stderr
 
 
+@pytest.mark.parametrize("by_config", [False, True])
+def test_underscored_rational_is_refused(tmp_path, by_config):
+    # Fraction reads PEP 515 underscores ('1_0' as 10) only from Python
+    # 3.11 on; every version must refuse them alike.
+    if by_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"l1": "1_0"}))
+        out = run("derive", "--order", "3", "--config", str(cfg))
+    else:
+        out = run("derive", "--order", "3", "--l1=1_0")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "config error: --l1: '1_0' is not a rational number\n"
+
+
 def test_out_file(tmp_path):
     dest = tmp_path / "q.txt"
     out = run("derive", "--order", "1", "--out", str(dest))

@@ -1,7 +1,8 @@
 """The product and commutator kernels against a reference product on
 Fraction pairs, plus the kernel identities, the sums over pair lists,
 the grouped adjoint, the weighted sums, and the Weyl-symbol layer: the
-conversions, the Moyal commutator, the Hermiticity tests and the solver."""
+conversions, the Moyal commutator, the Hermiticity tests and the solver,
+and the closed-form round trip [p^2/2, S] = R that checks the solver."""
 
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmetric import _core_py as core
-from qmetric.algebra import OperatorExpr
+from qmetric.algebra import OperatorExpr, commutator, h0
 from qmetric.params import ParamPoly
 from qmetric.rational import GaussianRational
 
@@ -438,6 +439,58 @@ def test_weyl_hermiticity_matches_adjoint(a):
     expr = OperatorExpr.from_raw(a)
     for t in (expr, expr + expr.adjoint(), expr - expr.adjoint()):
         assert core.weyl_is_hermitian(core.to_weyl(t.raw)) == t.is_hermitian()
+
+
+# -- the closed-form round trip [p^2/2, S] = R -----------------------------------
+
+nonzero_scalars = scalars().filter(lambda c: c[0] or c[1])
+
+
+def _h0_round_trip_misses(s, data):
+    """R = [H0, S] through the general kernel, then R with one coefficient
+    changed, one term dropped and one term added."""
+    r = commutator(h0(), OperatorExpr.from_raw(s)).raw
+    out = []
+    if r:
+        key = data.draw(st.sampled_from(sorted(r)))
+        ev = data.draw(st.sampled_from(sorted(r[key])))
+        changed = _snapshot(r)
+        c = core.q_add(changed[key][ev], data.draw(nonzero_scalars))
+        if c[0] or c[1]:
+            changed[key][ev] = c
+        else:  # the change cancelled the term
+            del changed[key][ev]
+        dropped = _snapshot(r)
+        del dropped[key][ev]
+        out += [changed, dropped]
+    added = _snapshot(r)
+    key = (data.draw(st.integers(0, 14)), data.draw(st.integers(-32, 8)),
+           data.draw(st.integers(0, 1)))
+    added.setdefault(key, {})[((7, 1),)] = data.draw(nonzero_scalars)  # symbol 7 is never drawn
+    return r, [{k: p for k, p in t.items() if p} for t in out + [added]]
+
+
+@settings(deadline=None)
+@given(op_tables() | wide_pairs().map(lambda pair: pair[0])
+       | wide_pairs().map(lambda pair: pair[1]), st.data())
+def test_h0_round_trip_matches_the_kernel(s, data):
+    r, misses = _h0_round_trip_misses(s, data)
+    before = _snapshot(s), _snapshot(r)
+    assert core.h0_commutator_equals(s, r)
+    assert (_snapshot(s), _snapshot(r)) == before
+    for bad in misses:
+        assert not core.h0_commutator_equals(s, bad)
+
+
+def test_h0_round_trip_shares_no_kernel(monkeypatch, formal3):
+    # The check must stay independent of the Weyl conversions and the
+    # kernel that produced the solution it checks.
+    q = formal3.q(3).raw
+    r = commutator(h0(), formal3.q(3)).raw
+    for name in ("to_weyl", "to_normal", "_int_kernel", "_reorder"):
+        monkeypatch.setattr(core, name, None)
+    assert core.h0_commutator_equals(q, r)
+    assert not core.h0_commutator_equals(q, {})
 
 
 lincomb_weights = st.sampled_from([0, 1, -1]) | st.builds(Fraction, ints, dens)

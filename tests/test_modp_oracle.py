@@ -15,17 +15,25 @@ here, in plain ints modulo the prime M = 2^61 - 1:
 * e^{+-Q} are series sums of powers of Q, not nested commutators.
 """
 
+import argparse
 import functools
 import math
 import random
 
 import pytest
 
+from qmetric.cli import build_parser
 from qmetric.observables import equivalent_hermitian, observable_p, observable_x
 from qmetric.perturbation import (MetricParams, derive_metric_series,
                                   extend_one_order)
 
 M = (1 << 61) - 1
+
+# The highest order each command's oracle cases below reach: the defining
+# relation for derive; [X, P] = i, X and P against e^{+-Q/2}, and h for
+# observables.  test_order_caps_stay_within_their_oracles ties each
+# command's --order choices to these, so no cap can be raised alone.
+ORACLE_ORDERS = {"derive": 10, "observables": 8}
 I_UNIT = (0, 1)
 # (-i)^k for k mod 4.
 MINUS_I_POWERS = ((1, 0), (0, M - 1), (M - 1, 0), (0, 1))
@@ -199,9 +207,10 @@ def test_defining_relation_through_order_10():
     # Order 10 reaches beyond every order the CLI serves; the engine's
     # nested-commutator table runs on Weyl symbols, which this file's
     # normal-ordered products share nothing with.
-    qs = derive_metric_series(MetricParams.formal(10))
+    n = ORACLE_ORDERS["derive"]
+    qs = derive_metric_series(MetricParams.formal(n))
     residual = defining_residual([q.raw for q in qs.q_list()], Point(1))
-    assert residual == [{}] * 11
+    assert residual == [{}] * (n + 1)
 
 
 @pytest.mark.parametrize("order", [6, 8])
@@ -248,10 +257,10 @@ def test_dressed_canonical_commutator_through_order_6():
 def test_dressed_canonical_commutator_through_order_8():
     # Order 8 is the highest that derive serves; X and P read the Weyl
     # symbols of the Q_s that the derivation keeps.
-    dressed_canonical_commutator(8)
+    dressed_canonical_commutator(ORACLE_ORDERS["observables"])
 
 
-@pytest.mark.parametrize("n", [*range(1, 7), 8])
+@pytest.mark.parametrize("n", [*range(1, 7), ORACLE_ORDERS["observables"]])
 def test_equivalent_hermitian_through_order(n):
     # h = e^{-Q/2} (H0 + eps H1) e^{Q/2} through eps^(n+1), with Q_{n+1}
     # the engine's zero-parameter extension and both exponentials summed
@@ -265,3 +274,15 @@ def test_equivalent_hermitian_through_order(n):
     want = series_mul(series_mul(down, hamiltonian(n + 1)), up)
     h = equivalent_hermitian(qs)
     assert [reduce_expr(h.coeff(j).raw, point) for j in range(n + 2)] == want
+
+
+def _order_choices(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return next(a for a in sub._actions if a.dest == "order").choices
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_ORDERS))
+def test_order_caps_stay_within_their_oracles(command):
+    assert max(_order_choices(command)) <= ORACLE_ORDERS[command]

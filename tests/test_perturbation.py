@@ -19,7 +19,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmetric import backend
 from qmetric._core_py import to_normal
 from qmetric.algebra import OperatorExpr, commutator, h0, h1
 from qmetric.errors import EngineError
@@ -30,7 +32,7 @@ from qmetric.perturbation import (MetricParams, QSeries, _source_weight,
                                   extend_one_order, homogeneous_q,
                                   q_coefficient, solve_commutator_equation,
                                   strip_x_free)
-from qmetric.rational import GaussianRational
+from qmetric.rational import I_POWERS, GaussianRational
 from qmetric.series import NestedCommutators, SeriesExpr
 
 
@@ -190,6 +192,96 @@ def test_order4_reordering_shadow(formal4):
     assert (plain + plain.conjugate()).is_zero()   # no real plain part
     assert (par + par.conjugate()).is_zero()       # i^4 = 1: same reality
     assert part.is_hermitian()
+
+
+def _strip_oracle(particular, j, weight=5):
+    """strip_x_free's former ParamPoly formulas: plain = (c + c*)/2 and
+    parity = (d i^-j + (d i^-j)*)/2 for the x-free coefficients c and d
+    of p^(-weight j) and p^(-weight j) P, the differences kept."""
+    stripped = {}
+    raw_plain = raw_parity = ParamPoly(0)
+    for (a, b, e), p in particular.raw.items():
+        if a:
+            stripped[a, b, e] = p
+        elif e:
+            raw_parity = ParamPoly.from_terms(p)
+        else:
+            raw_plain = ParamPoly.from_terms(p)
+    half = ParamPoly(Fraction(1, 2))
+    plain = (raw_plain + raw_plain.conjugate()) * half
+    rotated = raw_parity * ParamPoly(I_POWERS[-j % 4])
+    parity = (rotated + rotated.conjugate()) * half
+    left_plain = raw_plain + plain * ParamPoly(-1)
+    left_parity = raw_parity + parity * ParamPoly(-I_POWERS[j % 4])
+    if not left_plain.is_zero():
+        stripped[0, -weight * j, 0] = left_plain.terms
+    if not left_parity.is_zero():
+        stripped[0, -weight * j, 1] = left_parity.terms
+    return OperatorExpr.from_raw(stripped), plain, parity
+
+
+def _assert_strip_matches_oracle(particular, j):
+    got, want = strip_x_free(particular, j), _strip_oracle(particular, j)
+    assert got == want
+    # The same key order too, in the operator and in every poly.
+    assert [repr(got[0].raw), repr(got[1].terms), repr(got[2].terms)] == [
+        repr(want[0].raw), repr(want[1].terms), repr(want[2].terms)]
+    return got
+
+
+# Parts drawn from a set with many zeros, so real, imaginary and mixed
+# coefficients all come up.
+_parts = st.sampled_from([0, 0, 1, -1]) | st.integers(-99, 99)
+_coeff_polys = st.dictionaries(
+    st.dictionaries(st.integers(0, 3), st.integers(1, 2), max_size=2).map(
+        lambda powers: tuple(sorted(powers.items()))),
+    st.builds(lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)).tuple,
+              _parts, _parts, st.integers(1, 30)).filter(lambda c: c[0] or c[1]),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def particulars(draw):
+    """(an expr with x-carrying terms and x-free terms at p^(-5j) of both
+    parities, in a drawn key order, j) for j in 1..8."""
+    j = draw(st.integers(1, 8))
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(-45, 5), st.integers(0, 1)),
+                         max_size=4, unique=True))
+    keys += draw(st.lists(st.sampled_from([(0, -5 * j, 0), (0, -5 * j, 1)]),
+                          max_size=2, unique=True))
+    keys = draw(st.permutations(keys))
+    return OperatorExpr.from_raw({key: draw(_coeff_polys) for key in keys}), j
+
+
+@settings(deadline=None)
+@given(particulars())
+def test_strip_matches_the_param_poly_oracle(case):
+    _assert_strip_matches_oracle(*case)
+
+
+def test_strip_matches_the_oracle_on_derived_solutions():
+    qs = derive_metric_series(MetricParams.formal(8))
+    for rec in qs.orders:
+        stripped, _, _ = _assert_strip_matches_oracle(solve_commutator_equation(rec.r), rec.j)
+        # The complementary-reality remainder appears from order 4 on.
+        assert any(not a for a, _, _ in stripped.raw) == (rec.j >= 4), rec.j
+
+
+def test_solver_round_trip_guard(monkeypatch):
+    # A solver output with one coefficient off must trip the closed-form
+    # round trip before anything else reads the solution.
+    solve = backend.weyl_solve_h0
+
+    def off_by_one(t):
+        out = solve(t)
+        key = next(iter(out))
+        ev = next(iter(out[key]))
+        out[key][ev] = backend.q_add(out[key][ev], backend.Q_ONE)
+        return out
+
+    monkeypatch.setattr(backend, "weyl_solve_h0", off_by_one)
+    with pytest.raises(EngineError, match="^commutator equation round trip failed$"):
+        derive_metric_series(MetricParams.formal(3))
 
 
 def test_homogeneous_directions_are_hermitian():
