@@ -28,15 +28,15 @@ from qmetric.perturbation import (MetricParams, derive_metric_series,
                                   extend_one_order)
 
 M = (1 << 61) - 1
+I_UNIT = (0, 1)
+# (-i)^k for k mod 4.
+MINUS_I_POWERS = ((1, 0), (0, M - 1), (M - 1, 0), (0, 1))
 
 # The highest order each command's oracle cases below reach: the defining
 # relation for derive; [X, P] = i, X and P against e^{+-Q/2}, and h for
 # observables.  test_order_caps_stay_within_their_oracles ties each
 # command's --order choices to these, so no cap can be raised alone.
 ORACLE_ORDERS = {"derive": 10, "observables": 8}
-I_UNIT = (0, 1)
-# (-i)^k for k mod 4.
-MINUS_I_POWERS = ((1, 0), (0, M - 1), (M - 1, 0), (0, 1))
 
 
 def g_mul(u, v):
