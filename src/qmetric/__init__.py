@@ -26,9 +26,8 @@ from .observables import (ClassicalHamiltonian, classical_limit,
                           equivalent_hermitian, observable_p, observable_x)
 from .params import ParamPoly, format_poly, parse_poly
 from .perturbation import (BbjReport, MetricParams, OrderRecord, QSeries,
-                           bbj_compare, bbj_expansion, build_r,
-                           derive_metric_series, extend_one_order,
-                           q_coefficient, solve_commutator_equation)
+                           bbj_compare, bbj_expansion, derive_metric_series,
+                           extend_one_order, q_coefficient)
 from .rational import GaussianRational
 from .series import SeriesExpr, series_commutator
 from .verify import CheckResult, VerificationReport, run_verification
@@ -41,7 +40,7 @@ __all__ = [
     "OrbitResult", "OrderRecord", "ParamPoly", "ParityLinear", "QSeries",
     "SeriesExpr",
     "VerificationReport", "anticommutator", "apply_wave_operator",
-    "backend_name", "bbj_compare", "bbj_expansion", "build_r",
+    "backend_name", "bbj_compare", "bbj_expansion",
     "classical_limit", "commutator", "derive_metric_series",
     "equivalent_hermitian", "extend_one_order", "format_poly", "free_metric",
     "from_symmetric_form", "h0", "h1", "hyperbolic_pair",
@@ -50,6 +49,6 @@ __all__ = [
     "localized_weights", "momentum_observable", "observable_p",
     "observable_x", "parse_expr", "parse_poly", "position_observable",
     "q_coefficient", "run_verification", "scaling_degree", "serialize_expr",
-    "series_commutator", "solve_commutator_equation", "symmetric_form",
+    "series_commutator", "symmetric_form",
     "to_kernel", "__version__",
 ]

@@ -199,12 +199,6 @@ def _classical_text(term) -> str:
 
 
 def _cmd_classical(ns) -> int:
-    # From order 5 on, h_6 holds a free-amplitude parity term of hbar weight
-    # -1, which classical_limit rejects; refuse before deriving anything.
-    if ns.order > 4:
-        raise ConfigError(f"--order: classical serves orders 1..4; at order {ns.order}"
-                          " h has an eps^6 term of negative hbar weight, which has no"
-                          " classical limit")
     mass = _rational(ns.mass, "--mass")
     if mass <= 0:
         raise ConfigError(f"--mass: {ns.mass!r} is not positive")
@@ -340,15 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, _cmd_observables)
 
     sp = sub.add_parser("classical", help="classical limit of the dressed form")
-    sp.add_argument("--order", type=int, default=2, choices=range(1, 7), metavar="N",
-                    help="perturbative order (default %(default)s)")
+    sp.add_argument("--order", type=int, default=2, choices=range(1, 5), metavar="N",
+                    help="perturbative order, 1..4 (default %(default)s); from order 5"
+                         " on h has an eps^6 term of negative hbar weight, which has"
+                         " no classical limit")
     sp.add_argument("--mass", default="1", help="particle mass (rational)")
     _add_common(sp, _cmd_classical)
 
     # The integrator uses the order-2 classical Hamiltonian.
     sp = sub.add_parser("orbit", help="integrate closed classical orbits")
-    sp.add_argument("--order", type=int, default=2, choices=(2,),
-                    help=argparse.SUPPRESS)
     sp.add_argument("--mass", default="1", help="particle mass (rational)")
     sp.add_argument("--epsilon", type=float, default=0.1,
                     help="coupling strength (default %(default)s)")

@@ -4,8 +4,8 @@ classical limit.
 With L X = [X, Q], the dressed observables e^{Q/2} A e^{-Q/2} = e^{-L/2} A
 and the Hermitian Hamiltonian H0 + tanh(L/4) eps H1 are weighted sums of
 the nested commutators of ``series.NestedCommutators``: X and P from a
-table seeded with x and p, which shares the derivation's Weyl symbols of
-the Q_s, h from the derivation's own table.
+table seeded with x and p, which shares the Weyl symbols of the Q_s in
+the series' table (``QSeries.table``), h from that table itself.
 """
 
 from __future__ import annotations
@@ -49,13 +49,10 @@ def _conjugated(a: SeriesExpr, q: list, qw: list | None, sign: int) -> SeriesExp
 
 
 def _dressed(op: OperatorExpr, qs: QSeries) -> SeriesExpr:
-    """e^{Q/2} op e^{-Q/2} through the derived order; a derived series
-    lends its table's Weyl symbols of the Q_s, a hand-built one is
-    converted."""
-    a = SeriesExpr.of(op, order=qs.order)
-    if qs._table is None:
-        return conjugate_by_sqrt_metric(a, qs.series(), sign=1)
-    return _conjugated(a, qs.q_list(), qs._table.qw, 1)
+    """e^{Q/2} op e^{-Q/2} through the derived order, on the Q_s and
+    their Weyl symbols in the series' table."""
+    table = qs.table()
+    return _conjugated(SeriesExpr.of(op, order=qs.order), table.q, table.qw, 1)
 
 
 def observable_x(qs: QSeries) -> SeriesExpr:

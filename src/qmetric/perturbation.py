@@ -3,21 +3,21 @@
 The generator is built as a finite series Q = sum_j Q_j e^j with every
 Q_j Hermitian.  Order j is obtained in three steps:
 
-1. ``build_r``: assemble the right-hand side R_j of [H0, Q_j] = R_j from
-   the already-solved lower orders.  With L X = [X, Q] the defining
-   relation reads tanh(L/2) H0 = -eps H1, so R = L H0 = -L coth(L/2) eps H1
-   is a Bernoulli-weighted sum of the entries E[k][j] of the table
-   ``series.NestedCommutators`` seeded with eps H1.  The table holds
-   Weyl symbols; R_j is checked anti-Hermitian on its symbol and
+1. ``_source``: the right-hand side R_j of [H0, Q_j] = R_j.  With
+   L X = [X, Q] the defining relation reads tanh(L/2) H0 = -eps H1, so
+   R = L H0 = -L coth(L/2) eps H1 is a Bernoulli-weighted sum of the
+   entries E[k][j] of the table ``series.NestedCommutators`` seeded with
+   eps H1 over the already-solved lower orders.  The table holds Weyl
+   symbols; R_j is checked anti-Hermitian on its symbol and
    normal-ordered for the record.  The derived series keeps its table
-   for the extension and ``equivalent_hermitian``; the columns no later
-   order reads (R_{N-1}, R_N, and R_{N+1}, h_{N+1} in the extension) are
-   streamed.
-2. ``solve_commutator_equation``: on Weyl symbols [H0, .] is -i p d/dx,
-   so one particular solution is read off R_j's symbol term by term; it
-   is Hermitian because R_j is anti-Hermitian, and its normal-ordered
-   form is checked by the round trip [H0, S] = R_j in normal order, on
-   the closed form of [p^2/2, .], apart from the Weyl conversions.
+   (``QSeries.table``) for the extension and the dressing; the columns
+   no later order reads (R_{N-1}, R_N, and R_{N+1}, h_{N+1} in the
+   extension) are streamed.
+2. ``_solve``: on Weyl symbols [H0, .] is -i p d/dx, so one particular
+   solution is read off R_j's symbol term by term; it is Hermitian
+   because R_j is anti-Hermitian, and its normal-ordered form is checked
+   by the round trip [H0, S] = R_j in normal order, on the closed form
+   of [p^2/2, .], apart from the Weyl conversions.
 3. ``strip_x_free`` and ``homogeneous_q``: move the real x-free parts of
    the particular solution into the free parameters and attach the
    homogeneous terms lambda_j p^(-5j) + i^j kappa_j p^(-5j) P; the sum
@@ -160,42 +160,12 @@ def _source(j, table, weight, streamed):
     return r, rw
 
 
-def build_r(j: int, prior_q: Sequence[OperatorExpr], h1_op: OperatorExpr | None = None,
-            weight: int = DEFAULT_WEIGHT) -> OperatorExpr:
-    """Right-hand side R_j of the order-j commutator equation.
-
-    R_1 = -2 H_1; for j >= 2, R_j = sum_{n>=1} -2 B_2n/(2n)! E[2n][j], the
-    eps^j coefficient of -L coth(L/2) eps H1 (see ``_source_weight``),
-    from a nested-commutator table built here from Q_1..Q_{j-1}.  When
-    those solve the lower orders for `h1_op` (i x^3 unless given), this
-    equals sum_{k=2..j} q_k * sum_{s_1+...+s_k=j} [[..[H0, Q_{s_1}].., Q_{s_k}]].
-    ``derive_metric_series`` runs the same code on its growing table.
-    """
-    if require_int("order", j) < 1:
-        raise ValueError("order must be >= 1")
-    if len(prior_q) < j - 1:
-        raise ValueError(f"order {j} needs all lower orders, got {len(prior_q)}")
-    table = NestedCommutators({1: h1() if h1_op is None else h1_op}, prior_q[:j - 1])
-    return _source(j, table, weight, streamed=True)[0]
-
-
-def solve_commutator_equation(r: OperatorExpr) -> OperatorExpr:
-    """One particular Hermitian solution of [p^2/2, Q] = R.
-
-    On Weyl symbols [p^2/2, .] is -i p d/dx, so each term r W(x^a p^b) P^e
-    of R is produced by (i r / (a+1)) W(x^(a+1) p^(b-1)) P^e
-    (``_core_py.weyl_solve_h0``).  That solution is Hermitian because R is
-    anti-Hermitian; it is returned normal-ordered.
-    """
-    if not r.is_antihermitian():
-        raise EngineError("solve_commutator_equation requires an anti-Hermitian input")
-    return _solve(r, _b.to_weyl(r.raw))[0]
-
-
 def _solve(r: OperatorExpr, rw: dict) -> tuple[OperatorExpr, dict]:
-    """The solver's body, for an R already checked to be anti-Hermitian
-    and its Weyl symbol rw: (the solution normal-ordered, its symbol).
-    The round trip runs in normal order, on the closed form of [p^2/2, .]
+    """One particular Hermitian solution of [p^2/2, S] = R, for an R
+    already checked to be anti-Hermitian and its Weyl symbol rw: (S
+    normal-ordered, its symbol).  Each term r W(x^a p^b) P^e of rw gives
+    (i r / (a+1)) W(x^(a+1) p^(b-1)) P^e (``_core_py.weyl_solve_h0``); the
+    round trip runs in normal order, on the closed form of [p^2/2, .]
     (``_core_py.h0_commutator_equals``)."""
     sw = _b.weyl_solve_h0(rw)
     sol = OperatorExpr.from_raw(_b.to_normal(sw))
@@ -291,8 +261,8 @@ class QSeries:
 
     ``h1_op`` is the perturbation H1 the series solves for, the paper's
     i x^3 unless given.  ``derive_metric_series`` attaches its
-    nested-commutator table, which the extension reuses; a series built
-    by hand has none and is extended from a fresh table over its records.
+    nested-commutator table; a series built by hand has none, and
+    ``table`` forms one over its records.
     """
 
     __slots__ = ("params", "weight", "orders", "h1_op", "_table")
@@ -323,6 +293,15 @@ class QSeries:
     def q_list(self) -> list[OperatorExpr]:
         return [rec.q for rec in self.orders]
 
+    def table(self) -> NestedCommutators:
+        """The table seeded with eps H1 over Q_1..Q_N, from which the
+        extension, h and the dressed X and P read: the derivation's own,
+        with the solver's Weyl symbols, or for a series built by hand a
+        fresh one over its records, formed again on each call."""
+        if self._table is not None:
+            return self._table
+        return NestedCommutators({1: self.h1_op}, self.q_list())
+
 
 def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None,
                          weight: int = DEFAULT_WEIGHT) -> QSeries:
@@ -348,11 +327,11 @@ def derive_metric_series(params: MetricParams, h1_op: OperatorExpr | None = None
 
 def _extension(qs, weight=None):
     """(canonical particular Q_{N+1}, {m: the Weyl symbol of sum_k weight(k)
-    E[k][m] for m = 1..N+1} or {} without `weight`), from the series' table,
-    or from a fresh one checked against [H0, Q_m] = R_m for a series built
-    by hand; column N+1 is streamed."""
+    E[k][m] for m = 1..N+1} or {} without `weight`), from the series' table;
+    with `weight`, a series built by hand is also checked against
+    [H0, Q_m] = R_m.  Column N+1 is streamed."""
     j = qs.order + 1
-    table = qs._table if qs._table is not None else NestedCommutators({1: qs.h1_op}, qs.q_list())
+    table = qs.table()
     stripped = strip_x_free(_solve(*_source(j, table, qs.weight, streamed=True))[0], j, qs.weight)[0]
     if weight is None:
         return stripped, {}

@@ -132,7 +132,7 @@ def _check_series_sources() -> list[CheckResult]:
     q1, q2, q3 = qs.q(1), qs.q(2), qs.q(3)
     r3, r4 = qs.record(3).r, qs.record(4).r
     # R_5 is the series' own table's next column, streamed as in the extension.
-    r5 = _source(5, qs._table, qs.weight, streamed=True)[0]
+    r5 = _source(5, qs.table(), qs.weight, streamed=True)[0]
 
     e3 = (r3 == _scale(commutator(h0(), q1, 3), Fraction(1, 12))
           and r3 == _scale(commutator(h1(), q1, 2), Fraction(-1, 6)))

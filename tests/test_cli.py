@@ -25,6 +25,7 @@ def test_help_and_missing_command():
     ("derive", "--order", "x"), ("derive", "--format", "xml"),
     ("derive", "--bogus"), ("no-such-command",), (),
     ("orbit", "--order", "3"), ("observables", "--order"),
+    ("orbit", "--order", "2"),
 ])
 def test_usage_errors_are_one_line(args):
     out = run(*args)
@@ -74,10 +75,10 @@ def test_derive_serves_order_eight():
     q = json.loads(out.stdout)["q"]
     qs = derive_metric_series(MetricParams.formal(8))
     assert q == {str(j): str(qs.q(j)) for j in range(1, 9)}
-    for command in ("observables", "classical"):
+    for command, choices in (("observables", "1, 2, 3, 4, 5, 6"), ("classical", "1, 2, 3, 4")):
         out = run(command, "--order", "7")
         assert out.returncode == 2
-        assert "invalid choice: 7 (choose from 1, 2, 3, 4, 5, 6)" in out.stderr
+        assert f"invalid choice: 7 (choose from {choices})" in out.stderr
 
 
 def test_bad_rational_flag():
@@ -146,12 +147,14 @@ def test_classical_rejects_order_three_mass_symbolics():
 
 @pytest.mark.parametrize("order", ["5", "6"])
 def test_classical_refuses_orders_with_negative_hbar_weight(order):
+    # From order 5 on h has an eps^6 term of negative hbar weight, so the
+    # parser's choices stop at 4.
     out = run("classical", "--order", order)
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.count("\n") == 1
-    assert out.stderr.startswith("config error: --order: classical serves orders 1..4;")
-    assert "negative hbar weight" in out.stderr
+    assert out.stderr == (f"config error: argument --order: invalid choice: {order}"
+                          " (choose from 1, 2, 3, 4)\n")
 
 
 def test_orbit_csv(tmp_path):
@@ -174,6 +177,17 @@ def test_orbit_summary_to_stderr_without_out():
 def test_orbit_rejects_other_orders():
     out = run("orbit", "--order", "3")
     assert out.returncode == 2
+
+
+def test_orbit_config_has_no_order(tmp_path):
+    # The integrator always uses the order-2 classical Hamiltonian, so
+    # orbit has no --order option to spell in a config file.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": 2}))
+    out = run("orbit", "--config", str(cfg))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "config error: --config: unknown option 'order' for 'orbit'\n"
 
 
 def test_orbit_engine_error_is_exit_one():

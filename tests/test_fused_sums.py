@@ -89,7 +89,7 @@ def _assert_kept_entries(table, top):
 def test_kept_column_entries_match_per_pair_loop(derived):
     qs = derived[0]
     equivalent_hermitian(qs)  # forms every entry of columns 1..n
-    _assert_kept_entries(qs._table, qs.order)
+    _assert_kept_entries(qs.table(), qs.order)
 
 
 @pytest.mark.parametrize("seed", ["x", "p + eps^2 x"])
@@ -117,22 +117,40 @@ def test_adjoint_matches_per_group_loop(derived):
         assert e.adjoint() == looped_adjoint(e)
 
 
-@pytest.mark.parametrize("params", [
+_TABLE_PARAMS = pytest.mark.parametrize("params", [
     MetricParams.formal(8),
     MetricParams.numeric(8, lam=[Fraction(3, 7)], kap=[Fraction(-2, 5)]),
 ], ids=["formal8", "numeric8-odd-kappa"])
+
+
+@_TABLE_PARAMS
 def test_table_symbols_are_those_of_the_records(params):
     # Each symbol is the solver's, corrected by the x-free terms in which
     # Q_s differs from the particular solution; no Q_s is converted.
     qs = derive_metric_series(params)
-    assert len(qs._table.qw) == params.order
+    assert len(qs.table().qw) == params.order
     for s in range(1, params.order + 1):
-        assert qs._table.qw[s - 1] == core.to_weyl(qs.q(s).raw), s
+        assert qs.table().qw[s - 1] == core.to_weyl(qs.q(s).raw), s
+
+
+@_TABLE_PARAMS
+def test_a_hand_built_series_forms_the_same_table(params):
+    # A derived series hands out its derivation's own table; a copy built
+    # from its records forms a fresh one on each call, whose converted
+    # symbols are the solver's.
+    derived = derive_metric_series(params)
+    assert derived.table() is derived._table
+    rebuilt = QSeries(derived.params, derived.weight, derived.orders, derived.h1_op)
+    table = rebuilt.table()
+    assert table is not rebuilt.table()
+    assert table.q == derived.q_list()
+    assert table.qw == derived.table().qw
 
 
 def test_dressing_matches_a_hand_built_series(derived):
     # X and P of a derived series read its table's symbols; a series
-    # rebuilt from the same records has no table and converts its Q_s.
+    # rebuilt from the same records has no table, and the one it forms
+    # converts its Q_s.
     qs, x, p = derived
     rebuilt = QSeries(qs.params, qs.weight, qs.orders, qs.h1_op)
     assert rebuilt._table is None

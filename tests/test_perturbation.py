@@ -27,11 +27,10 @@ from qmetric.algebra import OperatorExpr, commutator, h0, h1
 from qmetric.errors import EngineError
 from qmetric.observables import _hermitian_weight
 from qmetric.params import ParamPoly
-from qmetric.perturbation import (MetricParams, QSeries, _source_weight,
-                                  bbj_compare, bbj_expansion, build_r, derive_metric_series,
+from qmetric.perturbation import (MetricParams, QSeries, _solve, _source_weight,
+                                  bbj_compare, bbj_expansion, derive_metric_series,
                                   extend_one_order, homogeneous_q,
-                                  q_coefficient, solve_commutator_equation,
-                                  strip_x_free)
+                                  q_coefficient, strip_x_free)
 from qmetric.rational import I_POWERS, GaussianRational
 from qmetric.series import NestedCommutators, SeriesExpr
 
@@ -123,11 +122,13 @@ def test_defining_relation_numeric():
 # -- pipeline pieces ----------------------------------------------------------
 
 def test_first_source_term():
-    assert build_r(1, []) == h1().scale(-2)
+    assert derive_metric_series(MetricParams.formal(1)).record(1).r == h1().scale(-2)
 
 
 def test_sources_match_composition_sum():
-    prior = derive_metric_series(MetricParams.formal(5)).q_list()
+    # R_5 and R_6 are streamed sums, R_2..R_4 sums of kept entries.
+    qs = derive_metric_series(MetricParams.formal(6))
+    prior = qs.q_list()
     for j in range(2, 7):
         expected = OperatorExpr.zero()
         for k in range(2, j + 1):
@@ -137,7 +138,7 @@ def test_sources_match_composition_sum():
                     q = prior[s - 1]
                     term = term * q - q * term
                 expected = expected + term.scale(q_coefficient(k))
-        assert build_r(j, prior) == expected, j
+        assert qs.record(j).r == expected, j
 
 
 def test_sources_are_antihermitian_and_graded(formal4):
@@ -155,23 +156,25 @@ def test_even_orders_vanish_without_free_amplitudes():
     assert not qs.q(3).is_zero()
 
 
+def _solved(r):
+    """The pipeline's particular solution of [H0, S] = r, read off r's
+    Weyl symbol."""
+    return _solve(r, backend.to_weyl(r.raw))[0]
+
+
 def test_solver_round_trip_on_constructed_input():
     t = OperatorExpr.monomial(Fraction(3, 7), 4, -3, False)
     t = t + t.adjoint()  # Hermitian by construction
     r = commutator(h0(), t)
-    sol = solve_commutator_equation(r)
+    assert r.is_antihermitian()
+    sol = _solved(r)
     assert sol.is_hermitian()
     assert commutator(h0(), sol) == r
 
 
-def test_solver_rejects_hermitian_input():
-    with pytest.raises(EngineError):
-        solve_commutator_equation(OperatorExpr.x_power(1))
-
-
 def test_strip_returns_real_amplitudes(formal4):
     for j in range(1, 5):
-        raw = solve_commutator_equation(formal4.record(j).r)
+        raw = _solved(formal4.record(j).r)
         stripped, plain, parity = strip_x_free(raw, j)
         assert plain.is_real()
         assert parity.is_real()
@@ -262,7 +265,7 @@ def test_strip_matches_the_param_poly_oracle(case):
 def test_strip_matches_the_oracle_on_derived_solutions():
     qs = derive_metric_series(MetricParams.formal(8))
     for rec in qs.orders:
-        stripped, _, _ = _assert_strip_matches_oracle(solve_commutator_equation(rec.r), rec.j)
+        stripped, _, _ = _assert_strip_matches_oracle(_solved(rec.r), rec.j)
         # The complementary-reality remainder appears from order 4 on.
         assert any(not a for a, _, _ in stripped.raw) == (rec.j >= 4), rec.j
 
@@ -307,41 +310,25 @@ def test_tampered_series_extends_from_its_own_records(formal3, index):
     orders = list(formal3.orders)
     orders[index] = dataclasses.replace(orders[index], q=orders[index].q + OperatorExpr.x_power(1))
     bad = QSeries(formal3.params, formal3.weight, orders)
-
-    def fresh(qs):
-        r = build_r(qs.order + 1, qs.q_list())
-        return strip_x_free(solve_commutator_equation(r), qs.order + 1)[0]
-
-    outcomes = []
-    for extend in (extend_one_order, fresh):
-        try:
-            outcomes.append(extend(bad))
-        except EngineError as exc:
-            outcomes.append(str(exc))
+    try:
+        outcome = extend_one_order(bad)
+    except EngineError:
+        outcome = None
     # Q_N enters R_{N+1} only with the weight q_2 = 0, so shifting the last
-    # record leaves the extension as it was; shifting the first breaks it.
-    assert outcomes[0] == outcomes[1]
+    # record leaves the extension as it was; shifting the first changes it
+    # or breaks it.
+    assert (outcome == extend_one_order(formal3)) == (index == -1)
 
 
 def test_corrupted_lower_order_fails_the_source_check(formal3):
-    # The solver's own anti-Hermiticity check is not run on the derive and
-    # extension path, so the source check must catch a non-Hermitian Q_1.
+    # The solver takes R's anti-Hermiticity as given, so the source check
+    # must catch a non-Hermitian Q_1.
     orders = list(formal3.orders)
     shift = OperatorExpr.x_power(1).scale(GaussianRational(0, 1))
     orders[0] = dataclasses.replace(orders[0], q=orders[0].q + shift)
     bad = QSeries(formal3.params, formal3.weight, orders)
-    message = "order 4: R_j is not anti-Hermitian"
-    with pytest.raises(EngineError, match=message):
-        build_r(4, bad.q_list())
-    with pytest.raises(EngineError, match=message):
+    with pytest.raises(EngineError, match="order 4: R_j is not anti-Hermitian"):
         extend_one_order(bad)
-
-
-def test_recorded_sources_match_standalone_build_r():
-    qs = derive_metric_series(MetricParams.formal(6))
-    prior = qs.q_list()
-    for j in range(1, 7):
-        assert qs.record(j).r == build_r(j, prior[:j - 1]), j
 
 
 def test_streamed_column_matches_weighted_entries():
@@ -356,7 +343,7 @@ def test_streamed_column_matches_weighted_entries():
 
     odd_kappa = MetricParams.numeric(6, lam=[Fraction(3, 7)] * 6, kap=[Fraction(-2, 5)] * 6)
     for params in (MetricParams.formal(6), odd_kappa):
-        table = derive_metric_series(params)._table
+        table = derive_metric_series(params).table()
         dressing = NestedCommutators({0: OperatorExpr.x_power(1)}, table.q)
         cases = [(table, m, weight) for m in range(2, params.order + 2)
                  for weight in (_source_weight, _hermitian_weight)]
@@ -373,7 +360,7 @@ def test_streamed_column_matches_weighted_entries():
 def test_derive_leaves_the_unread_entries_unformed():
     # R_{N-1} and R_N are streamed, and no order reads the even entries
     # of column N-1, so an order-8 derive never forms its three largest.
-    memo = derive_metric_series(MetricParams.formal(8))._table.memo
+    memo = derive_metric_series(MetricParams.formal(8)).table().memo
     assert not {(2, 7), (4, 7), (6, 7)} & set(memo)
     assert {(1, 7), (3, 7), (5, 7)} <= set(memo)
     assert not any(m == 8 for _, m in memo)
@@ -384,7 +371,7 @@ def test_streamed_orders_reuse_kept_column_sums():
     # and the extension's R_{N+1} over columns 1..N: each sum is formed
     # once, kept on the table and read again.
     qs = derive_metric_series(MetricParams.formal(6))
-    sums = qs._table.sums
+    sums = qs.table().sums
     assert {m for m, _, shift in sums if shift == 1} == set(range(1, 6))
     kept = dict(sums)
     extend_one_order(qs)
@@ -405,4 +392,4 @@ def test_quartic_expansion_report():
     assert rep.shift == ParamPoly(Fraction(15, 4))
     gen = bbj_expansion(Fraction(0))
     assert gen.is_hermitian()
-    assert commutator(h0(), gen) == build_r(1, [])
+    assert commutator(h0(), gen) == h1().scale(-2)
